@@ -30,6 +30,7 @@ from .io import (
     barcode_svg,
     dump_json,
     format_float,
+    open_input,
     read_diagram_json,
     read_edge_csv,
     read_series_csv,
@@ -170,7 +171,7 @@ def cmd_homology(args) -> None:
 
 
 def _sniff_series(path) -> bool:
-    with open(path, newline="") as fh:
+    with open_input(path, newline="") as fh:
         for line in fh:
             if line.startswith("#"):
                 continue
@@ -218,7 +219,7 @@ def cmd_bottleneck(args) -> None:
 
 def parse_config(path) -> dict:
     values: dict[str, str] = {}
-    with open(path) as fh:
+    with open_input(path) as fh:
         for line in fh:
             line = line.split("#", 1)[0].strip()
             if not line:

@@ -13,6 +13,11 @@ computes flag-complex persistence.  Two prunes keep it fast:
 * a 4-cycle with an already-arrived diagonal is the sum of two
   already-available triangles and is never emitted.
 
+A cycle-creating edge records only its birth value.  Representatives of
+finite bars are the reduced 2-cell columns; the tree-path cycles of bars that
+never die are built after the sweep, once per such bar, from the final
+spanning forest.
+
 The cube-level reduction in graphhom.persistence is the reference
 implementation; the two are asserted equal in the test suite.
 """
@@ -80,7 +85,7 @@ def weighted_graph_persistence(
     adj = [0] * n
     merges: list[tuple[float, int, int]] = []
     h0_pairs: list[PersistencePair] = []
-    births: dict[int, tuple[float, tuple]] = {}  # edge order pos -> (value, birth cycle)
+    births: dict[int, float] = {}  # edge order pos -> birth value
     h1_pairs: list[PersistencePair] = []
     pivots: dict[int, int] = {}
     ordered_edges: list[tuple[int, int]] = []
@@ -101,10 +106,8 @@ def weighted_graph_persistence(
             if w > 0.0:
                 h0_pairs.append(PersistencePair(0.0, w))
             continue
-        # cycle-creating edge: a class is born, with the tree-path cycle
-        path = forest_path(u, v)
-        cycle = tuple(zip(path, path[1:])) + ((v, u),)
-        births[pos] = (w, cycle)
+        # cycle-creating edge: a class is born
+        births[pos] = w
         alive += 1
         for col in _two_cells(u, v, adj, edge_pos, method):
             while col:
@@ -119,7 +122,7 @@ def weighted_graph_persistence(
             alive -= 1
             if p not in births:
                 raise InternalError("2-cell pivot landed on a tree edge")
-            birth, _ = births.pop(p)
+            birth = births.pop(p)
             if w > birth:
                 # the reduced column is a birth-stage cycle (its youngest
                 # edge is the birth edge) and a boundary at this death
@@ -128,7 +131,12 @@ def weighted_graph_persistence(
             if alive == 0:
                 break
 
-    for birth, rep in births.values():
+    # The forest only ever joins separate trees, so the u-v tree path now is
+    # the one present when the class was born: the birth-stage cycle.
+    for pos, birth in births.items():
+        u, v = ordered_edges[pos]
+        path = forest_path(u, v)
+        rep = tuple(zip(path, path[1:])) + ((v, u),)
         h1_pairs.append(PersistencePair(birth, INF, rep))
     roots = {find(x) for x in range(n)}
     h0_pairs.extend(PersistencePair(0.0, INF) for _ in roots)

@@ -33,6 +33,8 @@ class CircleConfig:
     def __post_init__(self) -> None:
         if self.point_count < 5:
             raise ValidationError("point_count must be >= 5")
+        if self.iterations < 1:
+            raise ValidationError("iterations must be >= 1")
         if self.noise_sigma < 0:
             raise ValidationError("noise_sigma must be >= 0")
 

@@ -45,6 +45,8 @@ class WeatherConfig:
             raise ValidationError("need at least 2 readings")
         if self.disturbance_weight < 1:
             raise ValidationError("disturbance weight must be >= 1")
+        if self.iterations < 1:
+            raise ValidationError("iterations must be >= 1")
 
 
 def interior_vertices(cfg: WeatherConfig) -> list[int]:

@@ -41,30 +41,34 @@ class WeightedGraph:
     vertex_coords: tuple[tuple[float, float], ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.vertex_count < 0:
+        n = self.vertex_count
+        if n < 0:
             raise ValidationError("vertex_count must be nonnegative")
-        seen = set()
-        norm = []
-        for u, v in self.edges:
-            e = normalize_edge(u, v)
-            if not (0 <= e[0] < self.vertex_count and 0 <= e[1] < self.vertex_count):
-                raise ValidationError(f"edge {e} out of range for {self.vertex_count} vertices")
-            if e in seen:
+        norm = [(u, v) if u < v else (v, u) for u, v in self.edges]
+        order = sorted(range(len(norm)), key=norm.__getitem__)
+        edges = tuple([norm[i] for i in order])
+        prev = None
+        for e in edges:  # after the sort, duplicates are adjacent
+            u, v = e
+            if u == v:
+                raise ValidationError(f"self-loop ({u},{u}) is implicit and must not be stored")
+            if u < 0 or v >= n:
+                raise ValidationError(f"edge {e} out of range for {n} vertices")
+            if e == prev:
                 raise ValidationError(f"duplicate edge {e}")
-            seen.add(e)
-            norm.append(e)
-        order = sorted(range(len(norm)), key=lambda i: norm[i])
-        object.__setattr__(self, "edges", tuple(norm[i] for i in order))
+            prev = e
+        object.__setattr__(self, "edges", edges)
         if self.weights is not None:
-            if len(self.weights) != len(norm):
+            ws = self.weights
+            if len(ws) != len(edges):
                 raise ValidationError("weights must align with edges")
-            for w in self.weights:
-                if not (isinstance(w, (int, float)) and math.isfinite(w) and w >= 0):
+            for w in ws:
+                if not (isinstance(w, (int, float)) and 0 <= w < math.inf):
                     raise ValidationError(f"edge weight {w!r} must be finite and >= 0")
-            object.__setattr__(self, "weights", tuple(float(self.weights[i]) for i in order))
-        if self.vertex_labels is not None and len(self.vertex_labels) != self.vertex_count:
+            object.__setattr__(self, "weights", tuple([float(ws[i]) for i in order]))
+        if self.vertex_labels is not None and len(self.vertex_labels) != n:
             raise ValidationError("vertex_labels must have one entry per vertex")
-        if self.vertex_coords is not None and len(self.vertex_coords) != self.vertex_count:
+        if self.vertex_coords is not None and len(self.vertex_coords) != n:
             raise ValidationError("vertex_coords must have one entry per vertex")
 
     # -- views ---------------------------------------------------------
@@ -72,11 +76,6 @@ class WeightedGraph:
     @property
     def edge_count(self) -> int:
         return len(self.edges)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        if u == v:
-            return False
-        return normalize_edge(u, v) in self.edge_index()
 
     def edge_index(self) -> dict[Edge, int]:
         cached = getattr(self, "_edge_index", None)

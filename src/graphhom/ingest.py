@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
+from .io import open_input
 from .series import SeriesTable
 
 STATION_COLUMNS = {
@@ -99,7 +100,7 @@ def load_station_series(
     data: dict[str, dict[int, float]] = {}
     coords: dict[str, tuple[float, float]] = {}
     for path in sorted(str(f) for f in files):
-        with open(path, newline="") as fh:
+        with open_input(path, newline="") as fh:
             reader = csv.DictReader(fh)
             for row in reader:
                 try:
@@ -154,7 +155,7 @@ def load_quote_series(
         if ticker not in wanted:
             continue
         rows: list[tuple[int, float]] = []
-        with open(path, newline="") as fh:
+        with open_input(path, newline="") as fh:
             reader = csv.DictReader(fh)
             if reader.fieldnames is None or "Date" not in reader.fieldnames:
                 raise ValidationError(f"{path}: expected a Date column")

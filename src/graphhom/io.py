@@ -69,6 +69,29 @@ def _write_json(obj, out) -> None:
         out.write(json.dumps(str(obj)))
 
 
+# -- reading -----------------------------------------------------------------
+
+
+def open_input(path, mode: str = "r", **kwargs):
+    """open() for a file named on input; a missing or unreadable one is bad input."""
+    try:
+        return open(path, mode, **kwargs)
+    except OSError as exc:
+        raise ValidationError(f"{path}: cannot open: {exc.strerror}") from None
+
+
+def _csv_lines(fh):
+    """Lines of fh with '#' comment lines emptied, so csv line_num is the file line."""
+    return ("" if line.startswith("#") else line for line in fh)
+
+
+def _number(cell: str, path, line: int, what: str) -> float:
+    try:
+        return float(cell)
+    except ValueError:
+        raise ValidationError(f"{path}:{line}: {what} {cell!r} is not a number") from None
+
+
 # -- graphs ------------------------------------------------------------------
 
 
@@ -88,9 +111,9 @@ def read_edge_csv(path, vertex_count: int | None = None) -> WeightedGraph:
     edges = []
     weights = []
     has_weights = None
-    with open(path, newline="") as fh:
-        reader = csv.reader(row for row in fh if not row.startswith("#"))
-        header = next(reader, None)
+    with open_input(path, newline="") as fh:
+        reader = csv.reader(_csv_lines(fh))
+        header = next(filter(None, reader), None)
         if header is None or [h.strip().lower() for h in header[:2]] != ["u", "v"]:
             raise ValidationError(f"{path}: expected header u,v[,weight]")
         for row in reader:
@@ -99,14 +122,15 @@ def read_edge_csv(path, vertex_count: int | None = None) -> WeightedGraph:
             try:
                 u, v = int(row[0]), int(row[1])
             except (ValueError, IndexError):
-                raise ValidationError(f"{path}: malformed edge row {row!r}") from None
+                msg = f"{path}:{reader.line_num}: malformed edge row {row!r}"
+                raise ValidationError(msg) from None
             edges.append((u, v))
             w_cell = row[2].strip() if len(row) > 2 else ""
             if w_cell:
                 if has_weights is False:
                     raise ValidationError(f"{path}: inconsistent weight column")
                 has_weights = True
-                weights.append(float(w_cell))
+                weights.append(_number(w_cell, path, reader.line_num, "weight"))
             else:
                 if has_weights:
                     raise ValidationError(f"{path}: inconsistent weight column")
@@ -121,7 +145,7 @@ def read_edge_csv(path, vertex_count: int | None = None) -> WeightedGraph:
 def read_vertex_csv(path) -> tuple[int, tuple[str, ...], tuple[tuple[float, float], ...] | None]:
     """Vertex metadata: header id,label[,x,y]; returns (count, labels, coords)."""
     rows = {}
-    with open(path, newline="") as fh:
+    with open_input(path, newline="") as fh:
         reader = csv.DictReader(row for row in fh if not row.startswith("#"))
         expected = {"id", "label"}
         if reader.fieldnames is None or not expected.issubset(
@@ -176,9 +200,9 @@ def parse_time_index(cell: str) -> int:
 
 
 def read_series_csv(path) -> SeriesTable:
-    with open(path, newline="") as fh:
-        reader = csv.reader(row for row in fh if not row.startswith("#"))
-        header = next(reader, None)
+    with open_input(path, newline="") as fh:
+        reader = csv.reader(_csv_lines(fh))
+        header = next(filter(None, reader), None)
         if header is None or header[0].strip().lower() != "t":
             raise ValidationError(f"{path}: expected header t,<series>...")
         names = [h.strip() for h in header[1:]]
@@ -192,7 +216,7 @@ def read_series_csv(path) -> SeriesTable:
                 cell = row[k + 1].strip() if k + 1 < len(row) else ""
                 if cell:
                     times[k].append(t)
-                    values[k].append(float(cell))
+                    values[k].append(_number(cell, path, reader.line_num, "value"))
     return SeriesTable(
         names,
         [np.asarray(t, dtype=np.int64) for t in times],
@@ -228,24 +252,31 @@ def write_diagram_json(diag: PersistenceDiagram, path, manifest_digest: str | No
 
 
 def read_diagram_json(path) -> PersistenceDiagram:
-    with open(path) as fh:
-        data = json.load(fh)
-    if "dimension" not in data or "pairs" not in data:
+    with open_input(path) as fh:
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from None
+    if not isinstance(data, dict) or "dimension" not in data or "pairs" not in data:
         raise ValidationError(f"{path}: not a diagram JSON file")
-    pairs = []
-    for entry in data["pairs"]:
-        death = entry["death"]
-        death = INF if death == "inf" else float(death)
-        rep = entry.get("cycle")
-        pairs.append(
-            PersistencePair(
-                float(entry["birth"]),
-                death,
-                tuple((int(u), int(v)) for u, v in rep) if rep is not None else None,
+    try:
+        pairs = []
+        for entry in data["pairs"]:
+            death = entry["death"]
+            death = INF if death == "inf" else float(death)
+            rep = entry.get("cycle")
+            pairs.append(
+                PersistencePair(
+                    float(entry["birth"]),
+                    death,
+                    tuple((int(u), int(v)) for u, v in rep) if rep is not None else None,
+                )
             )
-        )
-    span = tuple(data["span"]) if "span" in data else None
-    return PersistenceDiagram(int(data["dimension"]), pairs, span=span, method=data.get("method"))
+        span = tuple(data["span"]) if "span" in data else None
+        dimension = int(data["dimension"])
+    except (KeyError, TypeError, ValueError, AttributeError):
+        raise ValidationError(f"{path}: malformed diagram JSON") from None
+    return PersistenceDiagram(dimension, pairs, span=span, method=data.get("method"))
 
 
 # -- barcode SVG ---------------------------------------------------------------

@@ -13,12 +13,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__
-from .io import dump_json
+from .io import dump_json, open_input
 
 
 def file_digest(path) -> str:
     h = hashlib.sha256()
-    with open(path, "rb") as fh:
+    with open_input(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(65536), b""):
             h.update(chunk)
     return h.hexdigest()

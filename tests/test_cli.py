@@ -140,6 +140,19 @@ class TestPersist:
         )
         assert code == 2
 
+    def test_missing_file_exit_code(self, capsys, tmp_path):
+        missing = tmp_path / "missing.csv"
+        code = main(["persist", str(missing), "--out-dir", str(tmp_path / "runs")])
+        assert code == 2
+        assert f"{missing}: cannot open" in capsys.readouterr().err
+
+    def test_non_numeric_weight_exit_code(self, capsys, tmp_path):
+        graph = tmp_path / "g.csv"
+        graph.write_text("u,v,weight\n0,1,0.5\n1,2,abc\n")
+        code = main(["persist", str(graph), "--out-dir", str(tmp_path / "runs")])
+        assert code == 2
+        assert f"{graph}:3: weight 'abc' is not a number" in capsys.readouterr().err
+
 
 class TestBottleneck:
     def write_diagram(self, path: Path, pairs) -> None:
@@ -177,8 +190,22 @@ class TestBottleneck:
         assert code == 0
         assert float(out.strip()) == 0.5
 
+    def test_invalid_json_exit_code(self, capsys, tmp_path):
+        a = tmp_path / "a.json"
+        a.write_text('{"dimension": 1,\n "pairs": [}\n')
+        code = main(["bottleneck", str(a), str(a), "--out-dir", str(tmp_path / "runs")])
+        assert code == 2
+        assert f"{a}:2: invalid JSON" in capsys.readouterr().err
+
 
 class TestExperimentCommand:
+    def test_zero_iterations_exit_code(self, capsys, tmp_path):
+        code = main(
+            ["experiment", "circle", "--iterations", "0", "--out-dir", str(tmp_path / "runs")]
+        )
+        assert code == 2
+        assert "iterations must be >= 1" in capsys.readouterr().err
+
     def test_circle_sigma_zero(self, capsys, tmp_path):
         config = tmp_path / "circle.cfg"
         config.write_text("noise_sigma = 0.0\npoint_count = 12\n")

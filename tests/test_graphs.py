@@ -100,6 +100,26 @@ class TestConstructions:
         with pytest.raises(ValidationError):
             WeightedGraph(3, ((0, 1), (1, 0)))
 
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            (((0, 1), (0, 2), (1, 0)), r"duplicate edge \(0, 1\)"),
+            (((0, 1), (1, 3)), r"edge \(1, 3\) out of range for 3 vertices"),
+            (((-1, 2),), r"edge \(-1, 2\) out of range for 3 vertices"),
+            (((0, 1), (2, 2)), r"self-loop \(2,2\)"),
+        ],
+    )
+    def test_invalid_edges_rejected(self, edges, message):
+        with pytest.raises(ValidationError, match=message):
+            WeightedGraph(3, edges)
+
+    def test_unsorted_input_permutes_weights_with_edges(self):
+        g = WeightedGraph(4, ((3, 2), (2, 0), (1, 0), (3, 1)), (4, 3.0, 1.5, 0.25))
+        assert g.edges == ((0, 1), (0, 2), (1, 3), (2, 3))
+        assert g.weights == (1.5, 3.0, 0.25, 4.0)
+        assert all(type(w) is float for w in g.weights)
+        assert g.weight_of(2, 3) == 4.0
+
     def test_greene_sphere_shape(self):
         g = greene_sphere()
         assert g.vertex_count == 10

@@ -7,7 +7,7 @@ import pytest
 
 from graphhom import gf2
 from graphhom.cubical import SingularCube
-from graphhom.diagrams import INF
+from graphhom.diagrams import INF, cycle_vertices
 from graphhom.engine import weighted_graph_persistence
 from graphhom.errors import ValidationError
 from graphhom.graphs import WeightedGraph, complete_graph, cycle_graph
@@ -216,6 +216,37 @@ class TestEngineEquivalence:
                 assert gf2.in_span(columns, target)
                 checked += 1
         assert checked > 5
+
+
+class TestInfiniteRepresentatives:
+    def test_tree_path_then_closing_edge(self):
+        # the 5-cycle 0-1-2-3-4 closes at 0.5; afterwards the tree {5, 6}
+        # and the lone vertex 7 join it, so the forest grows around the cycle
+        g = WeightedGraph(
+            8,
+            ((0, 1), (1, 2), (2, 3), (3, 4), (5, 6), (0, 4), (2, 5), (4, 7)),
+            (0.1, 0.1, 0.2, 0.2, 0.3, 0.5, 0.7, 0.8),
+        )
+        for method in ("cubical", "flag"):
+            h1 = weighted_graph_persistence(g, method).h1
+            assert [(p.birth, p.death, p.representative) for p in h1.pairs] == [
+                (0.5, INF, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 0)))
+            ]
+
+    def test_random_sparse_reps_are_birth_stage_cycles(self):
+        rng = random.Random(5150)
+        checked = 0
+        for _ in range(40):
+            g = random_graph(rng, max_vertices=14, edge_probability=0.25)
+            for method in ("cubical", "flag"):
+                for pair in weighted_graph_persistence(g, method).h1.pairs:
+                    if not math.isinf(pair.death):
+                        continue
+                    weights = [g.weight_of(u, v) for u, v in pair.representative]
+                    assert max(weights) == pair.birth
+                    assert len(cycle_vertices(pair.representative)) == 1
+                    checked += 1
+        assert checked > 40
 
 
 def test_reduce_rejects_bad_dimension():

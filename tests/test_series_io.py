@@ -82,6 +82,23 @@ class TestGraphCsv:
         with pytest.raises(ValidationError):
             read_edge_csv(path)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("u,v,weight\n0,1,0.5\n# note\n1,2,abc\n", r"g\.csv:4: weight 'abc' is not a number"),
+            ("u,v\n0,x\n", r"g\.csv:2: malformed edge row"),
+        ],
+    )
+    def test_bad_row_names_file_and_line(self, tmp_path, text, message):
+        path = tmp_path / "g.csv"
+        path.write_text(text)
+        with pytest.raises(ValidationError, match=message):
+            read_edge_csv(path)
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(ValidationError, match="nope.csv: cannot open"):
+            read_edge_csv(tmp_path / "nope.csv")
+
     def test_vertex_metadata(self, tmp_path):
         path = tmp_path / "v.csv"
         path.write_text("id,label,x,y\n0,alpha,0.5,1.5\n1,beta,2.0,3.0\n")
@@ -112,6 +129,12 @@ class TestSeriesCsv:
         table = read_series_csv(path)
         assert table.times[0].tolist() == [0, 2]
         assert table.times[1].tolist() == [1, 2]
+
+    def test_bad_value_names_file_and_line(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("t,a\n# note\n0,x\n")
+        with pytest.raises(ValidationError, match=r"s\.csv:3: value 'x' is not a number"):
+            read_series_csv(path)
 
     def test_iso_dates(self, tmp_path):
         path = tmp_path / "s.csv"
@@ -145,6 +168,20 @@ class TestDiagramJson:
         assert back.span == (0.0, 1.0)
         infinite = [p for p in back.pairs if math.isinf(p.death)]
         assert infinite[0].representative == ((0, 1), (1, 2), (2, 0))
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"dimension": 1,\n "pairs": [}', r"d\.json:2: invalid JSON"),
+            ('{"dimension": 1, "pairs": [{"birth": 0.5}]}', "malformed diagram JSON"),
+            ("[1, 2]", "not a diagram JSON file"),
+        ],
+    )
+    def test_bad_file_rejected(self, tmp_path, text, message):
+        path = tmp_path / "d.json"
+        path.write_text(text)
+        with pytest.raises(ValidationError, match=message):
+            read_diagram_json(path)
 
     def test_seventeen_digit_floats(self, tmp_path):
         diag = PersistenceDiagram(0, [PersistencePair(1 / 3, 2 / 3)])
