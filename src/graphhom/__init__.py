@@ -2,10 +2,10 @@
 
 Core surface: reflexive graphs and their constructions (graphs), singular
 cubes and Betti numbers (cubical), filtered persistence with a fast
-edge-space engine (persistence, engine), the flag-complex baseline (flag),
-bottleneck distance (bottleneck), correlation/metric filtration builders
-(builders, series), experiment harnesses (experiments), file ingestion
-(ingest) and the command-line interface (cli).
+edge-space engine that also computes the flag-complex baseline (persistence,
+engine), bottleneck distance (bottleneck), correlation/metric filtration
+builders (builders, series), experiment harnesses (experiments), file
+ingestion (ingest) and the command-line interface (cli).
 """
 
 __version__ = "0.1.0"
@@ -41,8 +41,7 @@ from .persistence import (  # noqa: F401
     betti_at,
     persistence_diagrams,
 )
-from .engine import weighted_graph_persistence  # noqa: F401
-from .flag import FlagFiltration, triangles, flag_persistence  # noqa: F401
+from .engine import weighted_graph_persistence, flag_persistence  # noqa: F401
 from .bottleneck import matching_cost, bottleneck, bottleneck_bruteforce  # noqa: F401
 from .diagrams import (  # noqa: F401
     PersistenceDiagram,

@@ -18,13 +18,12 @@ from . import __version__
 from .bottleneck import bottleneck
 from .builders import correlation_graph
 from .diagrams import cycle_vertices, longest_bar
-from .engine import weighted_graph_persistence
-from .errors import GraphhomError, InternalError, ResourceCapError, ValidationError
-from .experiments import default_threads
+from .engine import flag_persistence, weighted_graph_persistence
+from .errors import GraphhomError, ResourceCapError, ValidationError
+from .experiments import RNG_CONTRACT, default_threads
 from .experiments.circle import CircleConfig, run_circle
 from .experiments.multifit import MultiFitConfig, run_multifit
 from .experiments.weather import WeatherConfig, accuracy_sweep
-from .flag import flag_persistence
 from .ingest import QuoteSeriesSpec, StationFilter, load_quote_series, load_station_series
 from .io import (
     barcode_svg,
@@ -59,7 +58,7 @@ def main(argv=None) -> int:
     except ResourceCapError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return 3
-    except (InternalError, GraphhomError) as exc:
+    except GraphhomError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
 
@@ -73,7 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--threads", type=int, default=None)
         p.add_argument("--out-dir", default="runs")
-        p.add_argument("--format", choices=["json", "csv"], default="json")
 
     p = sub.add_parser("homology", help="Betti numbers of a graph CSV")
     p.add_argument("graph")
@@ -180,6 +178,8 @@ def _sniff_series(path) -> bool:
 
 
 def cmd_persist(args) -> None:
+    if args.dim < 0:
+        raise ValidationError("--dim must be >= 0")
     inputs = [args.input] + ([args.vertices] if args.vertices else [])
     manifest, run_dir = _start_run(args, "persist", inputs)
     if _sniff_series(args.input):
@@ -217,10 +217,11 @@ def cmd_bottleneck(args) -> None:
     _finish_run(manifest, args)
 
 
-def parse_config(path) -> dict:
-    values: dict[str, str] = {}
+def parse_config(path) -> dict[str, tuple[str, int]]:
+    """key = value (or key: value) lines, as key -> (value, line number)."""
+    values: dict[str, tuple[str, int]] = {}
     with open_input(path) as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -229,19 +230,21 @@ def parse_config(path) -> dict:
             elif ":" in line:
                 key, _, value = line.partition(":")
             else:
-                raise ValidationError(f"config line not key=value: {line!r}")
-            values[key.strip()] = value.strip()
+                raise ValidationError(f"{path}:{number}: config line not key=value: {line!r}")
+            values[key.strip()] = (value.strip(), number)
     return values
 
 
-def _coerce(raw: dict, fields: dict) -> dict:
-    out = {}
-    for key, caster in fields.items():
-        if key in raw:
-            out[key] = caster(raw[key])
+def _coerce(raw: dict, fields: dict, path) -> dict:
     unknown = set(raw) - set(fields)
     if unknown:
         raise ValidationError(f"unknown config keys: {sorted(unknown)}")
+    out = {}
+    for key, (value, number) in raw.items():
+        try:
+            out[key] = fields[key](value)
+        except ValueError:
+            raise ValidationError(f"{path}:{number}: bad value for {key}: {value!r}") from None
     return out
 
 
@@ -269,7 +272,7 @@ def cmd_experiment(args) -> None:
             "noise_sigma": float,
             "iterations": int,
         }
-        cfg_args = _coerce(raw, fields)
+        cfg_args = _coerce(raw, fields, args.config)
         cfg_args.setdefault("iterations", 100)
         if args.iterations is not None:
             cfg_args["iterations"] = args.iterations
@@ -282,7 +285,7 @@ def cmd_experiment(args) -> None:
         ]
     elif args.name == "multifit":
         fields = {"list_count": int, "list_length": int, "iterations": int}
-        cfg_args = _coerce(raw, fields)
+        cfg_args = _coerce(raw, fields, args.config)
         cfg_args.setdefault("iterations", 1000)
         if args.iterations is not None:
             cfg_args["iterations"] = args.iterations
@@ -302,7 +305,7 @@ def cmd_experiment(args) -> None:
             "iterations": int,
             "w_values": lambda s: [float(x) for x in s.split(",")],
         }
-        cfg_args = _coerce(raw, fields)
+        cfg_args = _coerce(raw, fields, args.config)
         w_values = cfg_args.pop("w_values", [1.0, 4.0, 8.0, 12.0])
         cfg_args.setdefault("iterations", 100)
         if args.iterations is not None:
@@ -331,15 +334,18 @@ def cmd_experiment(args) -> None:
     _write_trials_csv(run_dir / "trials.csv", rows, manifest.digest)
     summary = dict(out["summary"])
     summary["manifest"] = manifest.digest
-    summary["rng"] = "numpy PCG64, per-trial seed = seed XOR trial_index, standard_normal"
+    summary["rng"] = RNG_CONTRACT
     _write_json_file(run_dir / "summary.json", summary)
     print(dump_json(summary), end="")
     _finish_run(manifest, args)
 
 
-def _parse_range(text: str) -> tuple[float, float]:
+def _parse_range(option: str, text: str) -> tuple[float, float]:
     lo, _, hi = text.partition(":")
-    return (float(lo), float(hi))
+    try:
+        return (float(lo), float(hi))
+    except ValueError:
+        raise ValidationError(f"{option} {text!r} is not low:high") from None
 
 
 def cmd_ingest(args) -> None:
@@ -348,8 +354,8 @@ def cmd_ingest(args) -> None:
         if not args.lat_range or not args.lon_range:
             raise ValidationError("stations ingest needs --lat-range and --lon-range")
         station_filter = StationFilter(
-            _parse_range(args.lat_range),
-            _parse_range(args.lon_range),
+            _parse_range("--lat-range", args.lat_range),
+            _parse_range("--lon-range", args.lon_range),
             field_name=args.value_column,
         )
         table, warnings = load_station_series(args.files, station_filter)

@@ -122,7 +122,7 @@ def enumerate_cubes(
                 if count > len(prev):
                     break
             if count <= len(prev):
-                for a1 in itertools.product(*[_bits(m) for m in compatible]):
+                for a1 in itertools.product(*[gf2.rows_of_column(m) for m in compatible]):
                     if dim == 1 or a1 in prev_set:
                         nxt.append(a0 + a1)
             else:
@@ -144,15 +144,6 @@ def enumerate_cubes(
             ]
         )
     return result
-
-
-def _bits(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
 
 
 @dataclass
@@ -208,6 +199,8 @@ def betti_numbers(g: WeightedGraph, max_dim: int, cap: int = DEFAULT_CUBE_CAP) -
 
     beta_d = dim ker boundary[d] - rank boundary[d+1] over GF(2).
     """
+    if max_dim < 0:
+        raise ValidationError("max_dim must be >= 0")
     cx = chain_complex(g, max_dim, cap=cap)
     ranks = [m.rank() for m in cx.boundary]
     betti = []

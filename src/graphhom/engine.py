@@ -19,7 +19,8 @@ never die are built after the sweep, once per such bar, from the final
 spanning forest.
 
 The cube-level reduction in graphhom.persistence is the reference
-implementation; the two are asserted equal in the test suite.
+implementation; the two are asserted equal in the test suite, as is the flag
+sweep with a textbook simplex-wise reduction kept with the tests.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from dataclasses import dataclass
 
 from .diagrams import INF, PersistenceDiagram, PersistencePair
 from .errors import InternalError, ValidationError
+from .gf2 import rows_of_column
 from .graphs import WeightedGraph
 
 METHOD_CUBICAL = "cubical"
@@ -126,7 +128,7 @@ def weighted_graph_persistence(
             if w > birth:
                 # the reduced column is a birth-stage cycle (its youngest
                 # edge is the birth edge) and a boundary at this death
-                rep = tuple(ordered_edges[b] for b in _bits(col))
+                rep = tuple(ordered_edges[b] for b in rows_of_column(col))
                 h1_pairs.append(PersistencePair(birth, w, rep))
             if alive == 0:
                 break
@@ -148,13 +150,12 @@ def weighted_graph_persistence(
     )
 
 
-def _bits(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
+def flag_persistence(g: WeightedGraph, max_dim: int = 1) -> list[PersistenceDiagram]:
+    """H0..H_max_dim diagrams of the flag (clique) complex over GF(2); max_dim <= 1."""
+    if not 0 <= max_dim <= 1:
+        raise ValidationError("flag persistence supports max_dim 0 or 1 only")
+    result = weighted_graph_persistence(g, METHOD_FLAG)
+    return [result.h0, result.h1][: max_dim + 1]
 
 
 def _two_cells(a: int, b: int, adj: list[int], edge_pos: dict, method: str):

@@ -8,16 +8,10 @@ class GraphhomError(Exception):
 class ValidationError(GraphhomError):
     """Bad input: malformed data, violated precondition, out-of-range value."""
 
-    exit_code = 2
-
 
 class ResourceCapError(GraphhomError):
     """A configured resource cap (cube count, dimension) was exceeded."""
 
-    exit_code = 3
-
 
 class InternalError(GraphhomError):
     """An internal invariant failed; indicates a bug, not bad input."""
-
-    exit_code = 4

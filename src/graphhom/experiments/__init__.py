@@ -4,6 +4,11 @@ Every trial draws from its own numpy PCG64 generator seeded with
 ``seed XOR trial_index``; normal deviates come from ``standard_normal``
 (ziggurat).  Trials are independent, so pools of any size produce identical
 results; aggregation uses sums and counts only.
+
+Seeds that differ only in low bits share trials: trial i of seed s is trial
+i ^ 1 of seed s ^ 1, so those two seeds replay the same trials in a different
+order (all of them when the iteration count is even, all but one when it is
+odd).  Seeds meant as independent replicates should differ in higher bits.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from itertools import repeat
 
 import numpy as np
 
-RNG_CONTRACT = "numpy PCG64, per-trial seed = seed XOR trial_index, N(0,1) via standard_normal"
+RNG_CONTRACT = "numpy PCG64, per-trial seed = seed XOR trial_index, standard_normal"
 
 
 def trial_rng(seed: int, trial_index: int) -> np.random.Generator:

@@ -33,6 +33,8 @@ class MultiFitConfig:
             raise ValidationError("list_length must be >= 3")
         if self.list_count < 3:
             raise ValidationError("list_count must be >= 3")
+        if self.iterations < 1:
+            raise ValidationError("iterations must be >= 1")
 
     @property
     def in_paper_regime(self) -> bool:

@@ -32,10 +32,6 @@ class GF2Matrix:
     num_rows: int
     columns: list[int] = field(default_factory=list)
 
-    @property
-    def num_cols(self) -> int:
-        return len(self.columns)
-
     def rank(self) -> int:
         return rank(self.columns)
 

@@ -16,6 +16,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
 from .errors import ValidationError
+from .gf2 import rows_of_column
 
 Edge = tuple[int, int]
 
@@ -97,13 +98,7 @@ class WeightedGraph:
         return cached
 
     def neighbors(self, v: int) -> list[int]:
-        mask = self.neighbor_masks()[v]
-        out = []
-        while mask:
-            low = mask & -mask
-            out.append(low.bit_length() - 1)
-            mask ^= low
-        return out
+        return rows_of_column(self.neighbor_masks()[v])
 
     def weight_of(self, u: int, v: int) -> float:
         if self.weights is None:

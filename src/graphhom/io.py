@@ -72,12 +72,26 @@ def _write_json(obj, out) -> None:
 # -- reading -----------------------------------------------------------------
 
 
-def open_input(path, mode: str = "r", **kwargs):
-    """open() for a file named on input; a missing or unreadable one is bad input."""
+def open_input(path, mode: str = "r", newline: str | None = None):
+    """A file named on input, opened for reading; a missing or unreadable one is bad input.
+
+    Text is decoded as UTF-8 in one go, so a file that is not UTF-8 is bad
+    input reported with its line, not an error midway through a parser.
+    """
     try:
-        return open(path, mode, **kwargs)
+        fh = open(path, "rb")
     except OSError as exc:
         raise ValidationError(f"{path}: cannot open: {exc.strerror}") from None
+    if "b" in mode:
+        return fh
+    with fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ValidationError(f"{path}:{line}: not UTF-8 text") from None
+    return _io.StringIO(text, newline=newline)
 
 
 def _csv_lines(fh):
@@ -146,19 +160,23 @@ def read_vertex_csv(path) -> tuple[int, tuple[str, ...], tuple[tuple[float, floa
     """Vertex metadata: header id,label[,x,y]; returns (count, labels, coords)."""
     rows = {}
     with open_input(path, newline="") as fh:
-        reader = csv.DictReader(row for row in fh if not row.startswith("#"))
-        expected = {"id", "label"}
-        if reader.fieldnames is None or not expected.issubset(
-            {f.strip().lower() for f in reader.fieldnames}
-        ):
+        reader = csv.reader(_csv_lines(fh))
+        header = next(filter(None, reader), None)
+        fields = [h.strip().lower() for h in header or ()]
+        if not {"id", "label"}.issubset(fields):
             raise ValidationError(f"{path}: expected header id,label[,x,y]")
         for row in reader:
-            row = {k.strip().lower(): (v or "").strip() for k, v in row.items()}
-            vid = int(row["id"])
+            if not any(cell.strip() for cell in row):
+                continue
+            row = dict(zip(fields, (cell.strip() for cell in row)))
+            line = reader.line_num
+            if not row.get("id", "").isdigit():
+                msg = f"{path}:{line}: vertex id {row.get('id')!r} is not an integer >= 0"
+                raise ValidationError(msg)
             coord = None
             if row.get("x") and row.get("y"):
-                coord = (float(row["x"]), float(row["y"]))
-            rows[vid] = (row["label"], coord)
+                coord = (_number(row["x"], path, line, "x"), _number(row["y"], path, line, "y"))
+            rows[int(row["id"])] = (row.get("label", ""), coord)
     if not rows:
         raise ValidationError(f"{path}: no vertex rows")
     count = max(rows) + 1

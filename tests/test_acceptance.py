@@ -27,11 +27,11 @@ from graphhom.engine import weighted_graph_persistence
 from graphhom.experiments.circle import CircleConfig, run_circle
 from graphhom.experiments.multifit import MultiFitConfig, run_multifit
 from graphhom.experiments.weather import WeatherConfig, accuracy_sweep
-from graphhom.flag import flag_persistence
 from graphhom.graphs import WeightedGraph, cycle_graph, greene_sphere
 from graphhom.persistence import assign_filtration, betti_at, persistence_diagrams, reduce
 
 from conftest import random_graph
+from oracles import flag_persistence
 
 
 def check(number: int, label: str, conditions: dict[str, bool], details: str = "") -> None:

@@ -4,6 +4,8 @@ import json
 import shutil
 from pathlib import Path
 
+import pytest
+
 from graphhom.cli import main
 
 
@@ -404,3 +406,60 @@ class TestIngestAndReport:
         report = json.loads((run_dir / "report.json").read_text())
         zero_merges = [m for m in report["h0_merges"] if m["value"] == 0.0]
         assert {"AAA", "AAB"} in [set(m["series"]) for m in zero_merges]
+
+
+def _vertex_id_not_integer(tmp_path, data_dir):
+    edges = tmp_path / "e.csv"
+    edges.write_text("u,v,weight\n0,1,0.5\n")
+    vertices = tmp_path / "v.csv"
+    vertices.write_text("# labels\nid,label\n0,a\nzz,b\n")
+    return ["persist", str(edges), "--vertices", str(vertices)], f"{vertices}:4: vertex id 'zz'"
+
+
+def _input_not_utf8(tmp_path, data_dir):
+    edges = tmp_path / "e.csv"
+    edges.write_bytes(b"u,v,weight\n0,1,0.5\n1,2,0.\xff\n")
+    return ["persist", str(edges)], f"{edges}:3: not UTF-8 text"
+
+
+def _lat_range_not_numbers(tmp_path, data_dir):
+    argv = ["ingest", "stations", str(data_dir / "stations_small.csv")]
+    return argv + ["--lat-range=abc", "--lon-range=-80:-75"], "--lat-range 'abc' is not low:high"
+
+
+def _config_value_not_integer(tmp_path, data_dir):
+    config = tmp_path / "weather.cfg"
+    config.write_text("# grid\nrows = x\n")
+    return ["experiment", "weather", "--config", str(config)], f"{config}:2: bad value for rows"
+
+
+def _negative_persist_dim(tmp_path, data_dir):
+    return ["persist", str(data_dir / "example33.csv"), "--dim", "-1"], "--dim must be >= 0"
+
+
+def _negative_homology_dim(tmp_path, data_dir):
+    return ["homology", str(data_dir / "greene.csv"), "--max-dim", "-1"], "max_dim must be >= 0"
+
+
+def _negative_multifit_iterations(tmp_path, data_dir):
+    argv = ["experiment", "multifit", "--iterations", "-3", "--threads", "1"]
+    return argv, "iterations must be >= 1"
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        _vertex_id_not_integer,
+        _input_not_utf8,
+        _lat_range_not_numbers,
+        _config_value_not_integer,
+        _negative_persist_dim,
+        _negative_homology_dim,
+        _negative_multifit_iterations,
+    ],
+)
+def test_bad_input_exit_code(case, capsys, data_dir, tmp_path):
+    argv, message = case(tmp_path, data_dir)
+    code = main(argv + ["--out-dir", str(tmp_path / "runs")])
+    assert code == 2
+    assert message in capsys.readouterr().err

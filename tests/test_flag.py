@@ -8,13 +8,14 @@ import pytest
 
 from graphhom.builders import metric_graph
 from graphhom.diagrams import INF
-from graphhom.engine import weighted_graph_persistence
+from graphhom.engine import flag_persistence, weighted_graph_persistence
 from graphhom.errors import ValidationError
-from graphhom.flag import build_flag_filtration, flag_persistence, triangles
 from graphhom.graphs import WeightedGraph, complete_graph, cycle_graph
 from graphhom.persistence import persistence_diagrams
 
+import oracles
 from conftest import random_graph
+from oracles import build_flag_filtration, four_cycles, triangles
 
 
 class TestTriangles:
@@ -31,6 +32,12 @@ class TestTriangles:
     def test_lexicographic_order(self):
         tris = triangles(complete_graph(5))
         assert tris == sorted(tris)
+
+    def test_four_cycles_counted_once(self):
+        c4 = cycle_graph(4).with_weights([0.1, 0.2, 0.3, 0.4])
+        assert four_cycles(c4) == [((0, 1, 2, 3), 0.4)]
+        assert len(four_cycles(complete_graph(4).with_uniform_weights(0.1))) == 3
+        assert four_cycles(cycle_graph(5).with_uniform_weights(0.1)) == []
 
 
 class TestFlagFiltration:
@@ -77,7 +84,7 @@ class TestFlagPersistence:
         rng = random.Random(88)
         for _ in range(80):
             g = random_graph(rng)
-            expected = flag_persistence(g, 1)
+            expected = oracles.flag_persistence(g, 1)
             got = weighted_graph_persistence(g, "flag")
             assert got.h0 == expected[0]
             assert got.h1 == expected[1]
@@ -86,7 +93,7 @@ class TestFlagPersistence:
         rng = random.Random(19)
         for _ in range(50):
             g = random_graph(rng)
-            flag_h0 = flag_persistence(g, 0)[0]
+            flag_h0 = oracles.flag_persistence(g, 0)[0]
             cubical_h0 = weighted_graph_persistence(g, "cubical").h0
             assert flag_h0 == cubical_h0
 
@@ -109,6 +116,25 @@ class TestFlagPersistence:
             flag_h1 = flag_persistence(g, 1)[1]
             cubical_h1 = weighted_graph_persistence(g, "cubical").h1
             assert flag_h1 == cubical_h1
+
+
+@pytest.mark.parametrize("method", ["cubical", "flag"])
+def test_engine_h1_matches_textbook_reduction(method):
+    """The engine's sweep against the full simplex-wise reduction, tied weights included.
+
+    The cubical oracle adds every 4-cycle as a 2-cell, so it also checks the
+    engine's two prunes on graphs too large for the cube-level reference.
+    """
+    rng = random.Random(1901)
+    for _ in range(400):
+        n = rng.randint(4, 22)
+        p = rng.uniform(0.2, 1.0)
+        levels = rng.choice((2, 5, 1000))
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+        weights = [rng.randrange(levels) / levels for _ in edges]
+        g = WeightedGraph(n, tuple(edges), tuple(weights))
+        expected = oracles.flag_persistence(g, 1, squares=method == "cubical")[1]
+        assert weighted_graph_persistence(g, method).h1 == expected
 
 
 def test_noisy_circle_flag_noisier():
