@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 
 from .graphs import (  # noqa: F401
     WeightedGraph,
-    GraphMap,
     line_graph,
     cycle_graph,
     box_product,
@@ -20,10 +19,7 @@ from .graphs import (  # noqa: F401
     grid_graph,
     greene_sphere,
     complete_graph,
-    is_graph_map,
     all_pairs_distances,
-    eccentricity,
-    connected_components,
 )
 from .cubical import (  # noqa: F401
     SingularCube,
@@ -38,11 +34,9 @@ from .persistence import (  # noqa: F401
     FilteredComplex,
     assign_filtration,
     reduce,
-    betti_at,
-    persistence_diagrams,
 )
 from .engine import weighted_graph_persistence, flag_persistence  # noqa: F401
-from .bottleneck import matching_cost, bottleneck, bottleneck_bruteforce  # noqa: F401
+from .bottleneck import bottleneck  # noqa: F401
 from .diagrams import (  # noqa: F401
     PersistenceDiagram,
     PersistencePair,
@@ -56,4 +50,4 @@ from .builders import (  # noqa: F401
     correlation_graph,
     metric_graph,
 )
-from .series import SeriesTable, FitConfig  # noqa: F401
+from .series import SeriesTable  # noqa: F401

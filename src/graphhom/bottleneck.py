@@ -10,11 +10,9 @@ distance is infinite) and are matched among themselves by sorted births.
 
 from __future__ import annotations
 
-import itertools
 import math
 
 from .diagrams import PersistenceDiagram
-from .errors import ValidationError
 
 Point = tuple[float, float]
 
@@ -30,39 +28,6 @@ def _linf(a: Point, b: Point) -> float:
 
 def _half_persistence(a: Point) -> float:
     return math.inf if math.isinf(a[1]) else (a[1] - a[0]) / 2.0
-
-
-def matching_cost(
-    matching: list[tuple[int, int]],
-    p: PersistenceDiagram,
-    q: PersistenceDiagram,
-) -> float:
-    """Cost of a matching given as (index into p, index into q) pairs.
-
-    Max of the matched L-infinity distances and the half-persistences of the
-    unmatched points on either side; 0 when everything is empty.
-    """
-    pp = p.births_deaths()
-    qq = q.births_deaths()
-    if len({i for i, _ in matching}) != len(matching) or len(
-        {j for _, j in matching}
-    ) != len(matching):
-        raise ValidationError("matching must be injective on both sides")
-    for i, j in matching:
-        if not (0 <= i < len(pp) and 0 <= j < len(qq)):
-            raise ValidationError("matching index out of range")
-    cost = 0.0
-    matched_p = {i for i, _ in matching}
-    matched_q = {j for _, j in matching}
-    for i, j in matching:
-        cost = max(cost, _linf(pp[i], qq[j]))
-    for i, a in enumerate(pp):
-        if i not in matched_p:
-            cost = max(cost, _half_persistence(a))
-    for j, b in enumerate(qq):
-        if j not in matched_q:
-            cost = max(cost, _half_persistence(b))
-    return cost
 
 
 def bottleneck(p: PersistenceDiagram, q: PersistenceDiagram) -> float:
@@ -153,17 +118,3 @@ def _feasible(pp: list[Point], qq: list[Point], c: float) -> bool:
 
     return all(augment(left) for left in range(size) if left not in match_left)
 
-
-def bottleneck_bruteforce(p: PersistenceDiagram, q: PersistenceDiagram) -> float:
-    """Exact minimum over all matchings by exhaustive enumeration; |P|+|Q| <= 8."""
-    pp = p.births_deaths()
-    qq = q.births_deaths()
-    if len(pp) + len(qq) > 8:
-        raise ValidationError("brute force capped at 8 points total")
-    best = math.inf
-    q_indices = list(range(len(qq)))
-    for k in range(min(len(pp), len(qq)) + 1):
-        for p_subset in itertools.combinations(range(len(pp)), k):
-            for q_perm in itertools.permutations(q_indices, k):
-                best = min(best, matching_cost(list(zip(p_subset, q_perm)), p, q))
-    return best

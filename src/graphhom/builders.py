@@ -2,8 +2,8 @@
 
 The correlation rule gives edge (i, j) the weight 1 - R^2 of the linear fit
 between series i and j on their overlapping time indices; a pair with
-overlap below the configured minimum, or with a zero-variance side, gets
-weight exactly 1 and so connects only at the final stage.
+overlap below MIN_OVERLAP, or with a zero-variance side, gets weight exactly
+1 and so connects only at the final stage.
 """
 
 from __future__ import annotations
@@ -14,13 +14,19 @@ import numpy as np
 
 from .errors import ValidationError
 from .graphs import WeightedGraph, complete_graph
-from .series import FitConfig, SeriesTable
+from .series import SeriesTable
+
+#: fewest common time indices a pair needs for a fitted weight
+MIN_OVERLAP = 3
+
+#: the filtration range of correlation weights 1 - R^2
+CORRELATION_SPAN = (0.0, 1.0)
 
 
-def r_squared(x, y, degenerate_r2: float = 0.0) -> float:
+def r_squared(x, y) -> float:
     """Squared Pearson correlation of two equal-length samples.
 
-    Returns degenerate_r2 when either sample has zero variance.
+    Returns 0 when either sample has zero variance.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -33,19 +39,13 @@ def r_squared(x, y, degenerate_r2: float = 0.0) -> float:
     vx = float(xc @ xc)
     vy = float(yc @ yc)
     if vx == 0.0 or vy == 0.0:
-        return degenerate_r2
+        return 0.0
     cov = float(xc @ yc)
     return min(1.0, cov * cov / (vx * vy))
 
 
 def multivariate_r2(target, predictors) -> float:
     """Coefficient of determination of OLS with intercept, clamped to [0, 1]."""
-    r2, _ = multivariate_r2_info(target, predictors)
-    return r2
-
-
-def multivariate_r2_info(target, predictors) -> tuple[float, bool]:
-    """(R^2, rank_deficient) for the OLS fit of target on the predictors."""
     y = np.asarray(target, dtype=float)
     xs = [np.asarray(p, dtype=float) for p in predictors]
     if any(p.shape != y.shape for p in xs) or y.ndim != 1:
@@ -55,25 +55,25 @@ def multivariate_r2_info(target, predictors) -> tuple[float, bool]:
     yc = y - y.mean()
     sst = float(yc @ yc)
     if sst == 0.0:
-        return 0.0, False
+        return 0.0
     design = np.column_stack([np.ones_like(y)] + xs)
-    coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
+    coef = np.linalg.lstsq(design, y, rcond=None)[0]
     residual = y - design @ coef
     ssr = float(residual @ residual)
     r2 = 1.0 - ssr / sst
-    return min(1.0, max(0.0, r2)), rank < design.shape[1]
+    return min(1.0, max(0.0, r2))
 
 
-def correlation_graph(table: SeriesTable, cfg: FitConfig = FitConfig()) -> WeightedGraph:
+def correlation_graph(table: SeriesTable) -> WeightedGraph:
     """Complete graph on the series with weight 1 - R^2 per pair.
 
-    Pairs overlapping on fewer than cfg.min_overlap indices get weight 1.
+    Pairs overlapping on fewer than MIN_OVERLAP indices get weight 1.
     """
     n = table.series_count
     if n < 2:
         raise ValidationError("correlation_graph needs at least 2 series")
     g = complete_graph(n)
-    if table.is_aligned() and table.times[0].size >= cfg.min_overlap:
+    if table.is_aligned() and table.times[0].size >= MIN_OVERLAP:
         matrix = table.value_matrix()
         centered = matrix - matrix.mean(axis=1, keepdims=True)
         norms = np.einsum("ij,ij->i", centered, centered)
@@ -81,7 +81,7 @@ def correlation_graph(table: SeriesTable, cfg: FitConfig = FitConfig()) -> Weigh
         weights = []
         for i, j in g.edges:
             if norms[i] == 0.0 or norms[j] == 0.0:
-                r2 = cfg.degenerate_r2
+                r2 = 0.0
             else:
                 r2 = min(1.0, covs[i, j] ** 2 / (norms[i] * norms[j]))
             weights.append(1.0 - r2)
@@ -89,10 +89,10 @@ def correlation_graph(table: SeriesTable, cfg: FitConfig = FitConfig()) -> Weigh
         weights = []
         for i, j in g.edges:
             xi, xj = table.overlap(i, j)
-            if xi.size < cfg.min_overlap:
+            if xi.size < MIN_OVERLAP:
                 weights.append(1.0)
             else:
-                weights.append(1.0 - r_squared(xi, xj, cfg.degenerate_r2))
+                weights.append(1.0 - r_squared(xi, xj))
     return WeightedGraph(
         n,
         g.edges,

@@ -11,19 +11,21 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import sys
+import typing
 from pathlib import Path
 
 from . import __version__
 from .bottleneck import bottleneck
-from .builders import correlation_graph
+from .builders import CORRELATION_SPAN, correlation_graph
 from .diagrams import cycle_vertices, longest_bar
 from .engine import flag_persistence, weighted_graph_persistence
 from .errors import GraphhomError, ResourceCapError, ValidationError
 from .experiments import RNG_CONTRACT, default_threads
 from .experiments.circle import CircleConfig, run_circle
 from .experiments.multifit import MultiFitConfig, run_multifit
-from .experiments.weather import WeatherConfig, accuracy_sweep
+from .experiments.weather import W_VALUES, WeatherConfig, accuracy_sweep
 from .ingest import QuoteSeriesSpec, StationFilter, load_quote_series, load_station_series
 from .io import (
     barcode_svg,
@@ -69,8 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
 
     def common(p):
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=None)
         p.add_argument("--out-dir", default="runs")
 
     p = sub.add_parser("homology", help="Betti numbers of a graph CSV")
@@ -97,9 +97,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bottleneck)
 
     p = sub.add_parser("experiment", help="run a named experiment")
-    p.add_argument("name", choices=["circle", "multifit", "weather"])
+    p.add_argument("name", choices=list(EXPERIMENTS))
     p.add_argument("--config", help="key=value config file")
     p.add_argument("--iterations", type=int)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--threads", type=int, default=None)
     common(p)
     p.set_defaults(func=cmd_experiment)
 
@@ -248,6 +250,25 @@ def _coerce(raw: dict, fields: dict, path) -> dict:
     return out
 
 
+EXPERIMENTS = {"circle": CircleConfig, "multifit": MultiFitConfig, "weather": WeatherConfig}
+
+
+def config_schema(name: str) -> dict:
+    """Config-file keys of an experiment, each with the parser of its value.
+
+    The keys are the fields of the experiment's config dataclass minus seed,
+    which --seed sets.  Weather sweeps its disturbance_weight, so w_values, a
+    comma-separated list, replaces it.
+    """
+    cls = EXPERIMENTS[name]
+    types = typing.get_type_hints(cls)
+    schema = {f.name: types[f.name] for f in dataclasses.fields(cls) if f.name != "seed"}
+    if name == "weather":
+        del schema["disturbance_weight"]
+        schema["w_values"] = lambda s: [float(x) for x in s.split(",")]
+    return schema
+
+
 def _write_trials_csv(path: Path, rows, manifest_digest: str) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(f"# manifest: {manifest_digest}\n")
@@ -260,23 +281,18 @@ def _write_trials_csv(path: Path, rows, manifest_digest: str) -> None:
 
 
 def cmd_experiment(args) -> None:
-    raw = parse_config(args.config) if args.config else {}
+    cfg_args = {}
+    if args.config:
+        cfg_args = _coerce(parse_config(args.config), config_schema(args.name), args.config)
+    if args.iterations is not None:
+        cfg_args["iterations"] = args.iterations
+    w_values = cfg_args.pop("w_values", W_VALUES)
+    cfg = EXPERIMENTS[args.name](seed=args.seed, **cfg_args)
     threads = args.threads if args.threads is not None else default_threads()
     manifest, run_dir = _start_run(
         args, f"experiment-{args.name}", [args.config] if args.config else []
     )
     if args.name == "circle":
-        fields = {
-            "point_count": int,
-            "radius": float,
-            "noise_sigma": float,
-            "iterations": int,
-        }
-        cfg_args = _coerce(raw, fields, args.config)
-        cfg_args.setdefault("iterations", 100)
-        if args.iterations is not None:
-            cfg_args["iterations"] = args.iterations
-        cfg = CircleConfig(seed=args.seed, **cfg_args)
         out = run_circle(cfg, threads=threads)
         rows = [
             (t["trial"], key, t[key])
@@ -284,12 +300,6 @@ def cmd_experiment(args) -> None:
             for key in ("d_cubical", "d_flag")
         ]
     elif args.name == "multifit":
-        fields = {"list_count": int, "list_length": int, "iterations": int}
-        cfg_args = _coerce(raw, fields, args.config)
-        cfg_args.setdefault("iterations", 1000)
-        if args.iterations is not None:
-            cfg_args["iterations"] = args.iterations
-        cfg = MultiFitConfig(seed=args.seed, **cfg_args)
         out = run_multifit(cfg, threads=threads)
         rows = []
         for t in out["trials"]:
@@ -297,20 +307,6 @@ def cmd_experiment(args) -> None:
                 if t[key] is not None:
                     rows.append((t["trial"], key, t[key]))
     else:
-        fields = {
-            "rows": int,
-            "cols": int,
-            "p": float,
-            "readings": int,
-            "iterations": int,
-            "w_values": lambda s: [float(x) for x in s.split(",")],
-        }
-        cfg_args = _coerce(raw, fields, args.config)
-        w_values = cfg_args.pop("w_values", [1.0, 4.0, 8.0, 12.0])
-        cfg_args.setdefault("iterations", 100)
-        if args.iterations is not None:
-            cfg_args["iterations"] = args.iterations
-        cfg = WeatherConfig(seed=args.seed, **cfg_args)
         out = accuracy_sweep(cfg, w_values, threads=threads)
         rows = []
         for t in out["trials"]:
@@ -378,9 +374,6 @@ def cmd_ingest(args) -> None:
         if count:
             print(f"warning: {key} = {count}", file=sys.stderr)
     _finish_run(manifest, args)
-
-
-CORRELATION_SPAN = (0.0, 1.0)
 
 
 def cmd_report_cycle(args) -> None:

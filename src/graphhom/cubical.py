@@ -72,21 +72,6 @@ def is_degenerate(cube: SingularCube) -> bool:
     return False
 
 
-def cube_is_valid(cube: SingularCube, g: WeightedGraph) -> bool:
-    """True iff the assignment defines a graph map from the n-cube into g."""
-    n = cube.dimension
-    a = cube.assignment
-    for x in a:
-        if not 0 <= x < g.vertex_count:
-            raise ValidationError(f"assignment value {x} out of range")
-    for v in range(1 << n):
-        for i in range(n):
-            u = v ^ (1 << i)
-            if u > v and not g.adjacent_or_equal(a[v], a[u]):
-                return False
-    return True
-
-
 def enumerate_cubes(
     g: WeightedGraph,
     max_dim: int,
@@ -150,21 +135,22 @@ def enumerate_cubes(
 class ChainComplexZ2:
     """Per-dimension bases of non-degenerate cubes and GF(2) boundary matrices.
 
-    boundary[d] maps basis[d] to basis[d-1]; boundary[0] is the zero matrix.
+    boundary[d] maps basis[d] to basis[d-1], one bitset column per d-cube;
+    boundary[0] is the zero matrix.
     """
 
     max_dim: int
     basis: list[list[SingularCube]]
-    boundary: list[gf2.GF2Matrix] = field(default_factory=list)
+    boundary: list[list[int]] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         if not self.boundary:
-            self.boundary = [gf2.GF2Matrix(0, [0] * len(self.basis[0]))]
+            self.boundary = [[0] * len(self.basis[0])]
             for d in range(1, len(self.basis)):
                 self.boundary.append(boundary_matrix(self.basis, d))
 
 
-def boundary_matrix(basis: list[list[SingularCube]], d: int) -> gf2.GF2Matrix:
+def boundary_matrix(basis: list[list[SingularCube]], d: int) -> list[int]:
     """Column per d-cube: mod-2 sum of its faces, degenerate faces dropped."""
     if d < 1:
         raise ValidationError("boundary_matrix requires d >= 1")
@@ -186,7 +172,7 @@ def boundary_matrix(basis: list[list[SingularCube]], d: int) -> gf2.GF2Matrix:
                         f"face {f.assignment} of {cube.assignment} missing from basis"
                     ) from None
         columns.append(col)
-    return gf2.GF2Matrix(len(basis[d - 1]), columns)
+    return columns
 
 
 def chain_complex(g: WeightedGraph, max_dim: int, cap: int = DEFAULT_CUBE_CAP) -> ChainComplexZ2:
@@ -202,7 +188,7 @@ def betti_numbers(g: WeightedGraph, max_dim: int, cap: int = DEFAULT_CUBE_CAP) -
     if max_dim < 0:
         raise ValidationError("max_dim must be >= 0")
     cx = chain_complex(g, max_dim, cap=cap)
-    ranks = [m.rank() for m in cx.boundary]
+    ranks = [gf2.rank(m) for m in cx.boundary]
     betti = []
     for d in range(max_dim + 1):
         kernel = len(cx.basis[d]) - ranks[d]

@@ -60,9 +60,6 @@ class PersistenceDiagram:
     def births_deaths(self) -> list[tuple[float, float]]:
         return [(p.birth, p.death) for p in self.pairs]
 
-    def count_alive_at(self, r: float) -> int:
-        return sum(1 for p in self.pairs if p.birth <= r < p.death)
-
 
 def _pair_key(p: PersistencePair):
     return (p.birth, p.death, p.representative or ())

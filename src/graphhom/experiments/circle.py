@@ -27,7 +27,7 @@ class CircleConfig:
     point_count: int = 30
     radius: float = 2.0
     noise_sigma: float = 0.5
-    iterations: int = 1000
+    iterations: int = 100
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -35,7 +35,7 @@ class CircleConfig:
             raise ValidationError("point_count must be >= 5")
         if self.iterations < 1:
             raise ValidationError("iterations must be >= 1")
-        if self.noise_sigma < 0:
+        if not self.noise_sigma >= 0:
             raise ValidationError("noise_sigma must be >= 0")
 
 

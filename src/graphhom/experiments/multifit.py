@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
-from ..builders import correlation_graph, multivariate_r2, r_squared
+from ..builders import CORRELATION_SPAN, correlation_graph, multivariate_r2, r_squared
 from ..diagrams import nontrivial_length
 from ..engine import weighted_graph_persistence
 from ..errors import ValidationError
@@ -25,7 +25,7 @@ from . import run_trials, trial_rng
 class MultiFitConfig:
     list_count: int = 5
     list_length: int = 10
-    iterations: int = 10_000
+    iterations: int = 1000
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -69,7 +69,7 @@ def evaluate_lists(lists: np.ndarray) -> MultiFitTrial:
         )
     )
     h1 = weighted_graph_persistence(correlation_graph(table), "cubical").h1
-    h1_length = nontrivial_length(h1, (0.0, 1.0))
+    h1_length = nontrivial_length(h1, CORRELATION_SPAN)
     relative = (r2_mult - r2_avg) / r2_avg if r2_avg > 0 else None
     return MultiFitTrial(h1_length, r2_avg, r2_mult, relative)
 

@@ -14,16 +14,17 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ..builders import correlation_graph
+from ..builders import CORRELATION_SPAN, correlation_graph
 from ..diagrams import cycle_vertices, longest_bar
 from ..engine import weighted_graph_persistence
 from ..errors import ValidationError
 from ..geometry import point_in_polygon
 from ..graphs import all_pairs_distances, grid_graph
-from ..series import SeriesTable
+from ..series import SeriesTable, aligned_table
 from . import run_trials, trial_rng
 
-CORRELATION_SPAN = (0.0, 1.0)
+#: disturbance weights swept when none are given
+W_VALUES = (1.0, 4.0, 8.0, 12.0)
 
 
 @dataclass(frozen=True)
@@ -39,11 +40,11 @@ class WeatherConfig:
     def __post_init__(self) -> None:
         if self.rows < 3 or self.cols < 3:
             raise ValidationError("grid must be at least 3x3 so the interior is nonempty")
-        if self.p <= 0:
+        if not self.p > 0:
             raise ValidationError("p must be positive")
         if self.readings < 2:
             raise ValidationError("need at least 2 readings")
-        if self.disturbance_weight < 1:
+        if not self.disturbance_weight >= 1:
             raise ValidationError("disturbance weight must be >= 1")
         if self.iterations < 1:
             raise ValidationError("iterations must be >= 1")
@@ -68,14 +69,6 @@ def smoothing_matrix(dist: np.ndarray, p: float) -> np.ndarray:
     m = dist.max(axis=1, keepdims=True)
     kernel = (m - dist + 1.0) ** p
     return kernel / kernel.sum(axis=1, keepdims=True)
-
-
-def weather_step(
-    readings: np.ndarray, dist: np.ndarray, p: float, rng: np.random.Generator
-) -> np.ndarray:
-    """One update: smooth, add N(0,1) noise per vertex, smooth again."""
-    smooth = smoothing_matrix(dist, p)
-    return _step(readings, smooth, rng)
 
 
 def _step(readings: np.ndarray, smooth: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -105,13 +98,7 @@ def run_disturbed_series(
     readings[:, 0] = rng.standard_normal(n)
     for t in range(1, cfg.readings):
         readings[:, t] = _step(readings[:, t - 1], smooth, rng)
-    times = np.arange(cfg.readings, dtype=np.int64)
-    return SeriesTable(
-        [f"v{k}" for k in range(n)],
-        [times.copy() for _ in range(n)],
-        [readings[k].copy() for k in range(n)],
-        coords=grid_coords(cfg),
-    )
+    return aligned_table([f"v{k}" for k in range(n)], readings, grid_coords(cfg))
 
 
 def _expected_scores(series: SeriesTable, cfg: WeatherConfig) -> np.ndarray:

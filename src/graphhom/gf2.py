@@ -1,19 +1,11 @@
 """GF(2) column linear algebra on Python-int bitsets.
 
-A column is an int whose bit i corresponds to row i.  This keeps XOR, the
-only arithmetic we need, at C speed without a dense matrix dependency.
+A column is an int whose bit i corresponds to row i, and a matrix is a plain
+list of columns.  This keeps XOR, the only arithmetic we need, at C speed
+without a dense matrix dependency.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
-
-
-def column_from_rows(rows) -> int:
-    col = 0
-    for r in rows:
-        col ^= 1 << r
-    return col
 
 
 def rows_of_column(col: int) -> list[int]:
@@ -23,26 +15,6 @@ def rows_of_column(col: int) -> list[int]:
         rows.append(low.bit_length() - 1)
         col ^= low
     return rows
-
-
-@dataclass
-class GF2Matrix:
-    """Sparse GF(2) matrix stored column-wise as int bitsets."""
-
-    num_rows: int
-    columns: list[int] = field(default_factory=list)
-
-    def rank(self) -> int:
-        return rank(self.columns)
-
-    def mul_column(self, col: int) -> int:
-        """Apply the matrix to a column vector (bitset over self's columns)."""
-        out = 0
-        while col:
-            low = col & -col
-            out ^= self.columns[low.bit_length() - 1]
-            col ^= low
-        return out
 
 
 class ColumnReducer:
@@ -84,10 +56,3 @@ def rank(columns) -> int:
         red.add(col)
     return red.rank
 
-
-def in_span(columns, target: int) -> bool:
-    """True iff target lies in the GF(2) span of the given columns."""
-    red = ColumnReducer()
-    for col in columns:
-        red.add(col)
-    return red.reduce(target) == 0

@@ -2,14 +2,14 @@
 
 Vertices are dense integers 0..n-1; labels and planar coordinates are side
 tables.  Graphs are reflexive by convention: every vertex is implicitly
-adjacent to itself, loops are never stored, and map validation treats
-equality as adjacency.  All values are immutable after construction.
+adjacent to itself and loops are never stored, so a graph map may send an
+edge to a single vertex.  All values are immutable after construction.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -105,9 +105,6 @@ class WeightedGraph:
             raise ValidationError("graph has no edge weights")
         return self.weights[self.edge_index()[normalize_edge(u, v)]]
 
-    def adjacent_or_equal(self, u: int, v: int) -> bool:
-        return u == v or (self.neighbor_masks()[u] >> v) & 1 == 1
-
     # -- derived graphs --------------------------------------------------
 
     def with_weights(self, weights) -> "WeightedGraph":
@@ -130,39 +127,6 @@ class WeightedGraph:
         for (u, v), w in new_weights.items():
             weights[idx[normalize_edge(u, v)]] = float(w)
         return self.with_weights(weights)
-
-    def threshold_subgraph(self, r: float) -> "WeightedGraph":
-        """Subgraph on all vertices with edges of weight <= r."""
-        if self.weights is None:
-            raise ValidationError("threshold requires edge weights")
-        keep = [i for i, w in enumerate(self.weights) if w <= r]
-        return WeightedGraph(
-            self.vertex_count,
-            tuple(self.edges[i] for i in keep),
-            tuple(self.weights[i] for i in keep),
-            self.vertex_labels,
-            self.vertex_coords,
-        )
-
-
-@dataclass(frozen=True)
-class GraphMap:
-    source: WeightedGraph
-    target: WeightedGraph
-    assignment: tuple[int, ...]
-
-
-def is_graph_map(f: GraphMap) -> bool:
-    """True iff f sends every source edge to a target edge or a single vertex."""
-    if len(f.assignment) != f.source.vertex_count:
-        raise ValidationError("assignment length must equal source vertex count")
-    for x in f.assignment:
-        if not 0 <= x < f.target.vertex_count:
-            raise ValidationError(f"assignment value {x} out of range")
-    for u, v in f.source.edges:
-        if not f.target.adjacent_or_equal(f.assignment[u], f.assignment[v]):
-            return False
-    return True
 
 
 # -- standard constructions ------------------------------------------------
@@ -259,34 +223,3 @@ def all_pairs_distances(g: WeightedGraph) -> np.ndarray:
     np.fill_diagonal(dist, 0.0)
     return dist
 
-
-def eccentricity(g: WeightedGraph, x: int, dist: np.ndarray | None = None) -> float:
-    """Max distance from x; raises on a disconnected graph."""
-    if dist is None:
-        dist = all_pairs_distances(g)
-    row = dist[x]
-    if np.isinf(row).any():
-        raise ValidationError("eccentricity is undefined on a disconnected graph")
-    return float(row.max())
-
-
-def connected_components(g: WeightedGraph) -> list[int]:
-    """Component id per vertex via union-find; ids are the minimal member."""
-    parent = list(range(g.vertex_count))
-
-    def find(a: int) -> int:
-        root = a
-        while parent[root] != root:
-            root = parent[root]
-        while parent[a] != root:
-            parent[a], a = root, parent[a]
-        return root
-
-    for u, v in g.edges:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            if ru < rv:
-                parent[rv] = ru
-            else:
-                parent[ru] = rv
-    return [find(v) for v in range(g.vertex_count)]

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import datetime
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -47,7 +48,6 @@ class StationFilter:
 class QuoteSeriesSpec:
     tickers: tuple[str, ...]
     price_column: str = "Close"
-    min_rows: int = 2
 
     def __post_init__(self) -> None:
         if not self.tickers:
@@ -82,20 +82,15 @@ def month_index(cell: str) -> int:
 
 
 def load_station_series(
-    files,
-    station_filter: StationFilter,
-    column_map: dict[str, str] | None = None,
+    files, station_filter: StationFilter
 ) -> tuple[SeriesTable, IngestWarnings]:
     """One month-indexed series per station inside the filter box.
 
-    Malformed rows are skipped and counted; duplicate (station, month) keys
-    keep the last value seen after sorting files.  An empty result is an
-    error.  Station coordinates ride along as (longitude, latitude).
+    Malformed rows (a non-finite value is malformed) are skipped and counted;
+    duplicate (station, month) keys keep the last value seen after sorting
+    files.  An empty result is an error.  Station coordinates ride along as
+    (longitude, latitude).
     """
-    columns = dict(STATION_COLUMNS)
-    if column_map:
-        columns.update(column_map)
-    value_column = columns.get("value", station_filter.field_name)
     warnings = IngestWarnings()
     data: dict[str, dict[int, float]] = {}
     coords: dict[str, tuple[float, float]] = {}
@@ -104,14 +99,16 @@ def load_station_series(
             reader = csv.DictReader(fh)
             for row in reader:
                 try:
-                    station = row[columns["station"]].strip()
-                    lat = float(row[columns["latitude"]])
-                    lon = float(row[columns["longitude"]])
-                    month = month_index(row[columns["date"]])
-                    raw = row.get(value_column, "")
+                    station = row[STATION_COLUMNS["station"]].strip()
+                    lat = float(row[STATION_COLUMNS["latitude"]])
+                    lon = float(row[STATION_COLUMNS["longitude"]])
+                    month = month_index(row[STATION_COLUMNS["date"]])
+                    raw = row.get(station_filter.field_name, "")
                     if raw is None or not raw.strip():
                         raise ValueError("missing value")
                     value = float(raw)
+                    if not math.isfinite(value):
+                        raise ValueError("non-finite value")
                 except (KeyError, TypeError, ValueError, AttributeError):
                     warnings.malformed_rows += 1
                     continue
@@ -140,10 +137,11 @@ def load_quote_series(
 ) -> tuple[SeriesTable, IngestWarnings]:
     """Daily relative price changes per ticker, indexed by ordinal date.
 
-    The ticker is the file stem.  Rows with nonpositive closes are rejected
-    (counted); tickers with fewer than spec.min_rows usable rows are dropped
-    (counted).  The change on day t is (close_t - close_prev) / close_prev
-    between consecutive surviving rows.
+    The ticker is the file stem.  Rows whose close is not a positive finite
+    number are rejected (counted); a repeated date keeps the last close seen
+    and is counted in duplicate_keys, as for stations; tickers with fewer than
+    2 usable rows are dropped (counted).  The change on day t is
+    (close_t - close_prev) / close_prev between consecutive surviving rows.
     """
     warnings = IngestWarnings()
     wanted = set(spec.tickers)
@@ -154,7 +152,7 @@ def load_quote_series(
         ticker = Path(path).stem
         if ticker not in wanted:
             continue
-        rows: list[tuple[int, float]] = []
+        closes_by_day: dict[int, float] = {}
         with open_input(path, newline="") as fh:
             reader = csv.DictReader(fh)
             if reader.fieldnames is None or "Date" not in reader.fieldnames:
@@ -166,12 +164,14 @@ def load_quote_series(
                 except (KeyError, TypeError, ValueError, AttributeError):
                     warnings.malformed_rows += 1
                     continue
-                if close <= 0:
+                if not 0 < close < math.inf:
                     warnings.rejected_rows += 1
                     continue
-                rows.append((day, close))
-        rows.sort()
-        if len(rows) < max(spec.min_rows, 2):
+                if day in closes_by_day:
+                    warnings.duplicate_keys += 1
+                closes_by_day[day] = close
+        rows = sorted(closes_by_day.items())
+        if len(rows) < 2:
             warnings.dropped_series += 1
             continue
         days = [day for day, _ in rows]

@@ -101,9 +101,12 @@ def _csv_lines(fh):
 
 def _number(cell: str, path, line: int, what: str) -> float:
     try:
-        return float(cell)
+        x = float(cell)
     except ValueError:
         raise ValidationError(f"{path}:{line}: {what} {cell!r} is not a number") from None
+    if not math.isfinite(x):
+        raise ValidationError(f"{path}:{line}: {what} {cell!r} is not finite")
+    return x
 
 
 # -- graphs ------------------------------------------------------------------
@@ -280,12 +283,15 @@ def read_diagram_json(path) -> PersistenceDiagram:
     try:
         pairs = []
         for entry in data["pairs"]:
-            death = entry["death"]
-            death = INF if death == "inf" else float(death)
+            birth, raw_death = float(entry["birth"]), entry["death"]
+            death = INF if raw_death == "inf" else float(raw_death)
+            if not (math.isfinite(birth) and (raw_death == "inf" or math.isfinite(death))):
+                pair = f"({entry['birth']!r}, {raw_death!r})"
+                raise ValidationError(f'{path}: pair {pair} is not finite; write "inf" for no death')
             rep = entry.get("cycle")
             pairs.append(
                 PersistencePair(
-                    float(entry["birth"]),
+                    birth,
                     death,
                     tuple((int(u), int(v)) for u, v in rep) if rep is not None else None,
                 )

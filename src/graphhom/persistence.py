@@ -94,7 +94,7 @@ def reduce(fc: FilteredComplex, dim: int) -> PersistenceDiagram:
         pivots: dict[int, int] = {}
         chains: dict[int, int] = {}
         for i, c in enumerate(order_d):
-            col = _permute_column(bd.columns[c], pos_low)
+            col = _permute_column(bd[c], pos_low)
             chain = 1 << i
             while col:
                 p = col.bit_length() - 1
@@ -130,7 +130,7 @@ def reduce(fc: FilteredComplex, dim: int) -> PersistenceDiagram:
         bd_hi = fc.complex.boundary[dim + 1]
         reducer = gf2.ColumnReducer()
         for c in order_hi:
-            col = reducer.reduce(_permute_column(bd_hi.columns[c], pos_d))
+            col = reducer.reduce(_permute_column(bd_hi[c], pos_d))
             if col == 0:
                 continue
             p = col.bit_length() - 1
@@ -161,37 +161,3 @@ def _permute_column(col: int, new_pos: dict[int, int]) -> int:
         col ^= low
     return out
 
-
-def betti_at(fc: FilteredComplex, r: float, dim: int) -> int:
-    """Betti number of the filtration stage at value <= r, recomputed from scratch.
-
-    Serves as the stage-wise oracle for reduce(): it must equal the number of
-    diagram pairs with birth <= r < death.
-    """
-    if not 0 <= dim <= fc.max_dim:
-        raise ValidationError(f"dimension {dim} outside filtered range 0..{fc.max_dim}")
-    alive = [i for i, v in enumerate(fc.values[dim]) if v <= r]
-    if not alive:
-        return 0
-    rank_d = 0
-    if dim > 0:
-        # faces of alive cubes are themselves alive by value monotonicity
-        bd = fc.complex.boundary[dim]
-        rank_d = gf2.rank(bd.columns[i] for i in alive)
-    rank_hi = 0
-    if dim + 1 < len(fc.complex.basis):
-        bd_hi = fc.complex.boundary[dim + 1]
-        rank_hi = gf2.rank(
-            bd_hi.columns[j]
-            for j, v in enumerate(fc.values[dim + 1])
-            if v <= r
-        )
-    return len(alive) - rank_d - rank_hi
-
-
-def persistence_diagrams(
-    g: WeightedGraph, max_dim: int = 1, cap: int = DEFAULT_CUBE_CAP
-) -> list[PersistenceDiagram]:
-    """Convenience wrapper: filtered complex plus reduce() per dimension."""
-    fc = assign_filtration(g, max_dim, cap=cap)
-    return [reduce(fc, d) for d in range(max_dim + 1)]

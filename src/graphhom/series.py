@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,18 +65,6 @@ class SeriesTable:
         )
         del common
         return self.values[i][ia], self.values[j][ja]
-
-
-@dataclass(frozen=True)
-class FitConfig:
-    """Knobs for the pairwise-fit weight rule."""
-
-    min_overlap: int = 3
-    degenerate_r2: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.min_overlap < 2:
-            raise ValidationError("min_overlap must be >= 2")
 
 
 def aligned_table(names, matrix, coords=None) -> SeriesTable:

@@ -1,22 +1,37 @@
-"""Textbook simplex-wise persistence: the test oracle for graphhom.engine.
+"""Test oracles: reference code the graphhom package is checked against.
 
-Simplices are capped at dimension 2 (vertices, edges, triangles); an edge
-enters at its weight and a triangle at the max of its three edge weights.
-Persistence is the standard single-matrix GF(2) column reduction over the
-simplices sorted by (value, dimension, lexicographic).  That is flag-complex
-persistence.  With ``squares=True`` every 4-cycle also enters as a 2-cell, at
-the max of its four edge weights; the degree-0/1 diagrams are then those of
-discrete cubical persistence.
+None of it runs in the production path.  The sections are:
+
+* textbook simplex-wise persistence, the oracle for graphhom.engine.
+  Simplices are capped at dimension 2 (vertices, edges, triangles); an edge
+  enters at its weight and a triangle at the max of its three edge weights.
+  Persistence is the standard single-matrix GF(2) column reduction over the
+  simplices sorted by (value, dimension, lexicographic).  That is flag-complex
+  persistence.  With ``squares=True`` every 4-cycle also enters as a 2-cell,
+  at the max of its four edge weights; the degree-0/1 diagrams are then those
+  of discrete cubical persistence;
+* stage-wise Betti numbers and the diagram wrapper over the cube-level
+  reduction in graphhom.persistence;
+* a brute-force bottleneck distance over every matching;
+* graph maps, components, eccentricity and threshold subgraphs;
+* GF(2) helpers: columns from rows, span membership, matrix times column.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
+import numpy as np
+
+from graphhom import gf2
+from graphhom.cubical import DEFAULT_CUBE_CAP, SingularCube
 from graphhom.diagrams import INF, PersistenceDiagram, PersistencePair
 from graphhom.errors import ValidationError
 from graphhom.gf2 import rows_of_column
-from graphhom.graphs import WeightedGraph
+from graphhom.graphs import WeightedGraph, all_pairs_distances
+from graphhom.persistence import FilteredComplex, assign_filtration, reduce
 
 Simplex = tuple[int, ...]
 
@@ -172,3 +187,216 @@ def flag_persistence(
                 pairs.append(PersistencePair(values[i], values[j], death_reps.get(i)))
         diagrams.append(PersistenceDiagram(d, pairs, span=span, method=method))
     return diagrams
+
+
+# -- cube-level reduction: stage-wise Betti numbers ---------------------------
+
+
+def persistence_diagrams(
+    g: WeightedGraph, max_dim: int = 1, cap: int = DEFAULT_CUBE_CAP
+) -> list[PersistenceDiagram]:
+    """Filtered complex plus graphhom.persistence.reduce() per dimension."""
+    fc = assign_filtration(g, max_dim, cap=cap)
+    return [reduce(fc, d) for d in range(max_dim + 1)]
+
+
+def betti_at(fc: FilteredComplex, r: float, dim: int) -> int:
+    """Betti number of the filtration stage at value <= r, recomputed from scratch.
+
+    The stage-wise oracle for reduce(): it must equal the number of diagram
+    pairs with birth <= r < death.
+    """
+    if not 0 <= dim <= fc.max_dim:
+        raise ValidationError(f"dimension {dim} outside filtered range 0..{fc.max_dim}")
+    alive = [i for i, v in enumerate(fc.values[dim]) if v <= r]
+    if not alive:
+        return 0
+    rank_d = 0
+    if dim > 0:
+        # faces of alive cubes are themselves alive by value monotonicity
+        bd = fc.complex.boundary[dim]
+        rank_d = gf2.rank(bd[i] for i in alive)
+    rank_hi = 0
+    if dim + 1 < len(fc.complex.basis):
+        bd_hi = fc.complex.boundary[dim + 1]
+        rank_hi = gf2.rank(bd_hi[j] for j, v in enumerate(fc.values[dim + 1]) if v <= r)
+    return len(alive) - rank_d - rank_hi
+
+
+def count_alive_at(diag: PersistenceDiagram, r: float) -> int:
+    """Pairs of the diagram with birth <= r < death."""
+    return sum(1 for p in diag.pairs if p.birth <= r < p.death)
+
+
+# -- brute-force bottleneck ---------------------------------------------------
+
+
+def _linf(a, b) -> float:
+    db = abs(a[0] - b[0])
+    if math.isinf(a[1]) or math.isinf(b[1]):
+        dd = 0.0 if math.isinf(a[1]) and math.isinf(b[1]) else math.inf
+    else:
+        dd = abs(a[1] - b[1])
+    return max(db, dd)
+
+
+def _half_persistence(a) -> float:
+    return math.inf if math.isinf(a[1]) else (a[1] - a[0]) / 2.0
+
+
+def matching_cost(
+    matching: list[tuple[int, int]],
+    p: PersistenceDiagram,
+    q: PersistenceDiagram,
+) -> float:
+    """Cost of a matching given as (index into p, index into q) pairs.
+
+    Max of the matched L-infinity distances and the half-persistences of the
+    unmatched points on either side; 0 when everything is empty.
+    """
+    pp = p.births_deaths()
+    qq = q.births_deaths()
+    matched_p = {i for i, _ in matching}
+    matched_q = {j for _, j in matching}
+    if len(matched_p) != len(matching) or len(matched_q) != len(matching):
+        raise ValidationError("matching must be injective on both sides")
+    for i, j in matching:
+        if not (0 <= i < len(pp) and 0 <= j < len(qq)):
+            raise ValidationError("matching index out of range")
+    cost = 0.0
+    for i, j in matching:
+        cost = max(cost, _linf(pp[i], qq[j]))
+    for i, a in enumerate(pp):
+        if i not in matched_p:
+            cost = max(cost, _half_persistence(a))
+    for j, b in enumerate(qq):
+        if j not in matched_q:
+            cost = max(cost, _half_persistence(b))
+    return cost
+
+
+def bottleneck_bruteforce(p: PersistenceDiagram, q: PersistenceDiagram) -> float:
+    """Exact minimum over all matchings by exhaustive enumeration; |P|+|Q| <= 8."""
+    pp = p.births_deaths()
+    qq = q.births_deaths()
+    if len(pp) + len(qq) > 8:
+        raise ValidationError("brute force capped at 8 points total")
+    best = math.inf
+    q_indices = list(range(len(qq)))
+    for k in range(min(len(pp), len(qq)) + 1):
+        for p_subset in itertools.combinations(range(len(pp)), k):
+            for q_perm in itertools.permutations(q_indices, k):
+                best = min(best, matching_cost(list(zip(p_subset, q_perm)), p, q))
+    return best
+
+
+# -- graphs -------------------------------------------------------------------
+
+
+def _adjacent_or_equal(g: WeightedGraph, u: int, v: int) -> bool:
+    return u == v or (g.neighbor_masks()[u] >> v) & 1 == 1
+
+
+@dataclass(frozen=True)
+class GraphMap:
+    source: WeightedGraph
+    target: WeightedGraph
+    assignment: tuple[int, ...]
+
+
+def is_graph_map(f: GraphMap) -> bool:
+    """True iff f sends every source edge to a target edge or a single vertex."""
+    if len(f.assignment) != f.source.vertex_count:
+        raise ValidationError("assignment length must equal source vertex count")
+    for x in f.assignment:
+        if not 0 <= x < f.target.vertex_count:
+            raise ValidationError(f"assignment value {x} out of range")
+    return all(
+        _adjacent_or_equal(f.target, f.assignment[u], f.assignment[v])
+        for u, v in f.source.edges
+    )
+
+
+def cube_is_valid(cube: SingularCube, g: WeightedGraph) -> bool:
+    """True iff the assignment defines a graph map from the n-cube into g."""
+    n = cube.dimension
+    a = cube.assignment
+    for x in a:
+        if not 0 <= x < g.vertex_count:
+            raise ValidationError(f"assignment value {x} out of range")
+    for v in range(1 << n):
+        for i in range(n):
+            u = v ^ (1 << i)
+            if u > v and not _adjacent_or_equal(g, a[v], a[u]):
+                return False
+    return True
+
+
+def connected_components(g: WeightedGraph) -> list[int]:
+    """Component id per vertex via union-find; ids are the minimal member."""
+    parent = list(range(g.vertex_count))
+
+    def find(a: int) -> int:
+        root = a
+        while parent[root] != root:
+            root = parent[root]
+        while parent[a] != root:
+            parent[a], a = root, parent[a]
+        return root
+
+    for u, v in g.edges:
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            if ru < rv:
+                parent[rv] = ru
+            else:
+                parent[ru] = rv
+    return [find(v) for v in range(g.vertex_count)]
+
+
+def eccentricity(g: WeightedGraph, x: int) -> float:
+    """Max distance from x; raises on a disconnected graph."""
+    row = all_pairs_distances(g)[x]
+    if np.isinf(row).any():
+        raise ValidationError("eccentricity is undefined on a disconnected graph")
+    return float(row.max())
+
+
+def threshold_subgraph(g: WeightedGraph, r: float) -> WeightedGraph:
+    """Subgraph on all vertices with edges of weight <= r."""
+    if g.weights is None:
+        raise ValidationError("threshold requires edge weights")
+    keep = [i for i, w in enumerate(g.weights) if w <= r]
+    return WeightedGraph(
+        g.vertex_count,
+        tuple(g.edges[i] for i in keep),
+        tuple(g.weights[i] for i in keep),
+        g.vertex_labels,
+        g.vertex_coords,
+    )
+
+
+# -- GF(2) --------------------------------------------------------------------
+
+
+def column_from_rows(rows) -> int:
+    col = 0
+    for r in rows:
+        col ^= 1 << r
+    return col
+
+
+def in_span(columns, target: int) -> bool:
+    """True iff target lies in the GF(2) span of the given columns."""
+    red = gf2.ColumnReducer()
+    for col in columns:
+        red.add(col)
+    return red.reduce(target) == 0
+
+
+def mul_column(columns: list[int], col: int) -> int:
+    """The matrix with these columns applied to a column vector over them."""
+    out = 0
+    for k in rows_of_column(col):
+        out ^= columns[k]
+    return out

@@ -5,9 +5,11 @@ import random
 
 import pytest
 
-from graphhom.bottleneck import bottleneck, bottleneck_bruteforce, matching_cost
+from graphhom.bottleneck import bottleneck
 from graphhom.diagrams import INF, PersistenceDiagram, PersistencePair
 from graphhom.errors import ValidationError
+
+from oracles import bottleneck_bruteforce, matching_cost
 
 
 def diagram(points):

@@ -9,14 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphhom.builders import (
+    MIN_OVERLAP,
     correlation_graph,
     metric_graph,
     multivariate_r2,
-    multivariate_r2_info,
     r_squared,
 )
 from graphhom.errors import ValidationError
-from graphhom.series import FitConfig, SeriesTable, aligned_table
+from graphhom.series import SeriesTable, aligned_table
 
 
 class TestRSquared:
@@ -25,7 +25,6 @@ class TestRSquared:
 
     def test_constant_series_degenerate(self):
         assert r_squared([1, 2, 3], [4, 4, 4]) == 0.0
-        assert r_squared([1, 2, 3], [4, 4, 4], degenerate_r2=0.5) == 0.5
 
     def test_hand_value(self):
         assert r_squared([0, 1, 2], [0, 1, 3]) == pytest.approx(27 / 28, abs=1e-12)
@@ -68,11 +67,13 @@ class TestMultivariate:
             r_squared(target, predictor), abs=1e-12
         )
 
-    def test_rank_deficiency_flagged(self):
+    def test_duplicate_predictor_equals_pairwise(self):
+        # a rank-deficient design still gives the fit of its column span
         target = [1.0, 2.0, 3.0, 5.0, 8.0, 2.0]
         predictor = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
-        _, deficient = multivariate_r2_info(target, [predictor, predictor])
-        assert deficient
+        assert multivariate_r2(target, [predictor, predictor]) == pytest.approx(
+            r_squared(target, predictor), abs=1e-12
+        )
 
     def test_needs_enough_samples(self):
         with pytest.raises(ValidationError):
@@ -126,8 +127,9 @@ class TestCorrelationGraph:
             [np.arange(3), np.arange(2, 5)],
             [np.asarray([1.0, 2.0, 3.0]), np.asarray([1.0, 5.0, 2.0])],
         )
-        # overlap {2} below min_overlap
-        assert correlation_graph(table, FitConfig(min_overlap=3)).weights == (1.0,)
+        # overlap {2} below MIN_OVERLAP
+        assert MIN_OVERLAP == 3
+        assert correlation_graph(table).weights == (1.0,)
 
     def test_needs_two_series(self):
         with pytest.raises(ValidationError):

@@ -1,12 +1,17 @@
 from __future__ import annotations
 
+import argparse
+import dataclasses
 import json
 import shutil
 from pathlib import Path
 
 import pytest
 
-from graphhom.cli import main
+from graphhom.cli import build_parser, config_schema, main
+from graphhom.experiments.circle import CircleConfig
+from graphhom.experiments.multifit import MultiFitConfig
+from graphhom.experiments.weather import WeatherConfig
 
 
 def run_cli(capsys, *argv) -> tuple[int, str]:
@@ -446,6 +451,66 @@ def _negative_multifit_iterations(tmp_path, data_dir):
     return argv, "iterations must be >= 1"
 
 
+def _series_value_nan(tmp_path, data_dir):
+    series = tmp_path / "s.csv"
+    series.write_text("t,a,b,c\n0,nan,1,1\n1,1,2,3\n2,1,3,5\n")
+    return ["persist", str(series)], f"{series}:2: value 'nan' is not finite"
+
+
+def _edge_weight_inf(tmp_path, data_dir):
+    edges = tmp_path / "e.csv"
+    edges.write_text("u,v,weight\n0,1,0.5\n1,2,inf\n")
+    return ["persist", str(edges)], f"{edges}:3: weight 'inf' is not finite"
+
+
+def _vertex_coordinate_nan(tmp_path, data_dir):
+    edges = tmp_path / "e.csv"
+    edges.write_text("u,v,weight\n0,1,0.5\n")
+    vertices = tmp_path / "v.csv"
+    vertices.write_text("id,label,x,y\n0,a,nan,0\n1,b,1,1\n")
+    return ["persist", str(edges), "--vertices", str(vertices)], f"{vertices}:2: x 'nan' is not finite"
+
+
+def _diagram_birth_nan(tmp_path, data_dir):
+    diagram = tmp_path / "d.json"
+    diagram.write_text('{"dimension": 1, "pairs": [{"birth": "nan", "death": 1.0}]}')
+    return ["bottleneck", str(diagram), str(diagram)], f"{diagram}: pair ('nan', 1.0) is not finite"
+
+
+def _diagram_death_infinity_literal(tmp_path, data_dir):
+    diagram = tmp_path / "d.json"
+    diagram.write_text('{"dimension": 1, "pairs": [{"birth": 0.5, "death": Infinity}]}')
+    return ["bottleneck", str(diagram), str(diagram)], "(0.5, inf) is not finite"
+
+
+def _weather_p_nan(tmp_path, data_dir):
+    config = tmp_path / "weather.cfg"
+    config.write_text("p = nan\n")
+    argv = ["experiment", "weather", "--config", str(config), "--iterations", "1", "--threads", "1"]
+    return argv, "p must be positive"
+
+
+def _weather_w_value_nan(tmp_path, data_dir):
+    config = tmp_path / "weather.cfg"
+    config.write_text("rows = 3\ncols = 3\nw_values = nan\n")
+    argv = ["experiment", "weather", "--config", str(config), "--iterations", "1", "--threads", "1"]
+    return argv, "disturbance weight must be >= 1"
+
+
+def _circle_sigma_nan(tmp_path, data_dir):
+    config = tmp_path / "circle.cfg"
+    config.write_text("noise_sigma = nan\n")
+    argv = ["experiment", "circle", "--config", str(config), "--iterations", "1", "--threads", "1"]
+    return argv, "noise_sigma must be >= 0"
+
+
+def _config_sets_seed(tmp_path, data_dir):
+    config = tmp_path / "multifit.cfg"
+    config.write_text("seed = 3\n")
+    argv = ["experiment", "multifit", "--config", str(config), "--iterations", "1", "--threads", "1"]
+    return argv, "unknown config keys: ['seed']"
+
+
 @pytest.mark.parametrize(
     "case",
     [
@@ -456,6 +521,15 @@ def _negative_multifit_iterations(tmp_path, data_dir):
         _negative_persist_dim,
         _negative_homology_dim,
         _negative_multifit_iterations,
+        _series_value_nan,
+        _edge_weight_inf,
+        _vertex_coordinate_nan,
+        _diagram_birth_nan,
+        _diagram_death_infinity_literal,
+        _weather_p_nan,
+        _weather_w_value_nan,
+        _circle_sigma_nan,
+        _config_sets_seed,
     ],
 )
 def test_bad_input_exit_code(case, capsys, data_dir, tmp_path):
@@ -463,3 +537,58 @@ def test_bad_input_exit_code(case, capsys, data_dir, tmp_path):
     code = main(argv + ["--out-dir", str(tmp_path / "runs")])
     assert code == 2
     assert message in capsys.readouterr().err
+
+
+COMMON_OPTIONS = {"--out-dir"}
+OPTIONS = {
+    "homology": {"--max-dim", "--vertices", "--vertex-count", "--cap"},
+    "persist": {"--method", "--dim", "--vertices"},
+    "bottleneck": set(),
+    "experiment": {"--config", "--iterations", "--seed", "--threads"},
+    "ingest": {"--lat-range", "--lon-range", "--value-column", "--tickers", "--price-column"},
+    "report-cycle": set(),
+}
+
+
+def test_subcommand_option_sets():
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    got = {
+        name: {opt for action in p._actions for opt in action.option_strings} - {"-h", "--help"}
+        for name, p in sub.choices.items()
+    }
+    assert got == {name: options | COMMON_OPTIONS for name, options in OPTIONS.items()}
+
+
+@pytest.mark.parametrize("option", ["--seed", "--threads"])
+def test_seed_and_threads_only_on_experiment(option, capsys, data_dir, tmp_path):
+    argv = ["persist", str(data_dir / "example33.csv"), option, "1", "--out-dir", str(tmp_path)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {option} 1" in capsys.readouterr().err
+
+
+CONFIG_KEYS = {
+    "circle": {"point_count", "radius", "noise_sigma", "iterations"},
+    "multifit": {"list_count", "list_length", "iterations"},
+    "weather": {"rows", "cols", "p", "readings", "iterations", "w_values"},
+}
+
+
+@pytest.mark.parametrize(
+    "name, cls", [("circle", CircleConfig), ("multifit", MultiFitConfig), ("weather", WeatherConfig)]
+)
+def test_config_keys_are_dataclass_fields(name, cls):
+    fields = {f.name for f in dataclasses.fields(cls)} - {"seed"}
+    if name == "weather":
+        fields = fields - {"disturbance_weight"} | {"w_values"}
+    assert set(config_schema(name)) == fields == CONFIG_KEYS[name]
+
+
+def test_default_iterations():
+    # the iteration counts an experiment runs when neither --iterations nor
+    # its config file sets one
+    assert CircleConfig().iterations == 100
+    assert MultiFitConfig().iterations == 1000
+    assert WeatherConfig().iterations == 100

@@ -23,12 +23,19 @@ from graphhom.experiments.weather import (
     disturbed_grid,
     grid_coords,
     interior_vertices,
+    _step,
     run_disturbed_series,
     smoothing_matrix,
-    weather_step,
 )
 from graphhom.graphs import all_pairs_distances, grid_graph
 from graphhom.series import SeriesTable, aligned_table
+
+from oracles import threshold_subgraph
+
+
+def weather_step(readings, dist, p, rng):
+    """One update of the simulation from a distance matrix: smooth, add noise, smooth."""
+    return _step(readings, smoothing_matrix(dist, p), rng)
 
 
 def series_from_matrix(matrix: np.ndarray, cfg: WeatherConfig) -> SeriesTable:
@@ -271,7 +278,7 @@ class TestMultiFit:
             h1 = weighted_graph_persistence(g, "cubical").h1
             bar = max(h1.pairs, key=lambda p: p.death - p.birth)
             r = (bar.birth + min(bar.death, 1.0)) / 2.0
-            stage = g.threshold_subgraph(r)
+            stage = threshold_subgraph(g, r)
             degrees = sorted(len(stage.neighbors(v)) for v in range(5))
             assert stage.edge_count == 5 and degrees == [2, 2, 2, 2, 2]
             if found >= 3:

@@ -11,11 +11,10 @@ from graphhom.diagrams import INF
 from graphhom.engine import flag_persistence, weighted_graph_persistence
 from graphhom.errors import ValidationError
 from graphhom.graphs import WeightedGraph, complete_graph, cycle_graph
-from graphhom.persistence import persistence_diagrams
 
 import oracles
 from conftest import random_graph
-from oracles import build_flag_filtration, four_cycles, triangles
+from oracles import build_flag_filtration, four_cycles, persistence_diagrams, triangles
 
 
 class TestTriangles:

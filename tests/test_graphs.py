@@ -10,22 +10,19 @@ from hypothesis import strategies as st
 
 from graphhom.errors import ValidationError
 from graphhom.graphs import (
-    GraphMap,
     WeightedGraph,
     all_pairs_distances,
     box_product,
     complete_graph,
-    connected_components,
     cycle_graph,
-    eccentricity,
     greene_sphere,
     grid_graph,
     hypercube,
-    is_graph_map,
     line_graph,
 )
 
 from conftest import random_graph
+from oracles import GraphMap, connected_components, eccentricity, is_graph_map, threshold_subgraph
 
 
 class TestConstructions:
@@ -235,5 +232,5 @@ def test_complete_graph_size():
 
 def test_threshold_subgraph():
     g = cycle_graph(4).with_weights([0.1, 0.2, 0.3, 0.4])
-    sub = g.threshold_subgraph(0.25)
+    sub = threshold_subgraph(g, 0.25)
     assert sub.edge_count == 2

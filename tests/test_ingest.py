@@ -54,6 +54,19 @@ class TestStations:
             assert back.times[k].tolist() == table.times[k].tolist()
             assert back.values[k].tolist() == table.values[k].tolist()
 
+    def test_non_finite_value_is_malformed(self, tmp_path):
+        path = tmp_path / "st.csv"
+        path.write_text(
+            "STATION,DATE,LATITUDE,LONGITUDE,TAVG\n"
+            "S1,2001-01,43.0,-78.0,1.0\n"
+            "S1,2001-02,43.0,-78.0,nan\n"
+            "S1,2001-03,43.0,-78.0,inf\n"
+            "S1,2001-04,43.0,-78.0,3.0\n"
+        )
+        table, warnings = load_station_series([path], BOX)
+        assert warnings.malformed_rows == 2
+        assert table.values[0].tolist() == [1.0, 3.0]
+
     def test_order_independent_across_files(self, data_dir, tmp_path):
         src = (data_dir / "stations_small.csv").read_text().splitlines()
         header, rows = src[0], src[1:]
@@ -89,6 +102,24 @@ class TestQuotes:
         spec = QuoteSeriesSpec(("CCC",))
         _, warnings = load_quote_series(self.quote_files(data_dir), spec)
         assert warnings.rejected_rows == 1
+
+    def test_non_finite_close_rejected(self, tmp_path):
+        path = tmp_path / "XYZ.csv"
+        path.write_text(
+            "Date,Close\n2020-01-01,100\n2020-01-02,nan\n2020-01-03,inf\n2020-01-04,110\n"
+        )
+        table, warnings = load_quote_series([path], QuoteSeriesSpec(("XYZ",)))
+        assert warnings.rejected_rows == 2
+        assert table.values[0].tolist() == pytest.approx([0.10])
+
+    def test_duplicate_date_last_wins(self, tmp_path):
+        path = tmp_path / "XYZ.csv"
+        path.write_text(
+            "Date,Close\n2020-01-01,100\n2020-01-02,50\n2020-01-03,121\n2020-01-02,110\n"
+        )
+        table, warnings = load_quote_series([path], QuoteSeriesSpec(("XYZ",)))
+        assert warnings.duplicate_keys == 1
+        assert table.values[0].tolist() == pytest.approx([0.10, 0.10])
 
     def test_unknown_tickers_ignored(self, data_dir):
         spec = QuoteSeriesSpec(("AAA", "ZZZ"))
