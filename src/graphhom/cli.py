@@ -1,9 +1,12 @@
 """Command-line interface: homology, persist, bottleneck, experiment, ingest,
 report-cycle.
 
-Every run writes its outputs into <out-dir>/<command>-<digest>/ next to a
-manifest.json; reruns with identical inputs and seed produce byte-identical
-result files.  Exit codes: 0 success, 2 input validation, 3 resource cap,
+Each command reads and checks its inputs and computes its results; only
+then does one driver create <out-dir>/<command>-<digest>/, write the result
+files and manifest.json into it, and print.  So a failed command leaves no
+run directory, and an --out-dir that cannot be written is bad input.  Reruns
+with identical inputs and seed produce byte-identical result files.  Exit
+codes: 0 success, 2 input validation or unusable --out-dir, 3 resource cap,
 4 internal invariant violation.
 """
 
@@ -12,9 +15,9 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import io
 import sys
 import typing
-from pathlib import Path
 
 from . import __version__
 from .bottleneck import bottleneck
@@ -52,7 +55,7 @@ def main(argv=None) -> int:
         parser.print_help()
         return 2
     try:
-        args.func(args)
+        _run(args)
         return 0
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -123,8 +126,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _start_run(args, command: str, inputs=()) -> tuple[RunManifest, Path]:
-    manifest = RunManifest.create(
+def _run(args) -> None:
+    """Run one command, then write its run directory and print its text.
+
+    A command returns (manifest, text, files) and writes nothing; files maps
+    a file name to its text or to a writer called with the file's path.
+    """
+    manifest, text, files = args.func(args)
+    run_dir = manifest.run_dir(args.out_dir)
+    try:
+        run_dir.mkdir(parents=True, exist_ok=True)
+        for name, content in files.items():
+            if isinstance(content, str):
+                (run_dir / name).write_text(content, newline="")
+            else:
+                content(run_dir / name)
+        manifest.finish()
+        manifest.write(args.out_dir)
+    except OSError as exc:
+        raise ValidationError(f"--out-dir {args.out_dir}: {exc.strerror or exc}") from None
+    print(text, end="")
+
+
+def _manifest(args, command: str, inputs=()) -> RunManifest:
+    return RunManifest.create(
         command,
         {
             k: v
@@ -134,19 +159,17 @@ def _start_run(args, command: str, inputs=()) -> tuple[RunManifest, Path]:
         getattr(args, "seed", None),
         inputs,
     )
-    run_dir = manifest.run_dir(args.out_dir)
-    run_dir.mkdir(parents=True, exist_ok=True)
-    return manifest, run_dir
 
 
-def _finish_run(manifest: RunManifest, args) -> None:
-    manifest.finish()
-    manifest.write(args.out_dir)
-
-
-def _write_json_file(path: Path, payload: dict) -> None:
-    with open(path, "w") as fh:
-        fh.write(dump_json(payload))
+def _csv_text(manifest_digest: str, header, rows) -> str:
+    """A result CSV: a "# manifest:" line, the header, floats to 17 digits."""
+    out = io.StringIO()
+    out.write(f"# manifest: {manifest_digest}\n")
+    writer = csv.writer(out)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([format(x, ".17g") if isinstance(x, float) else x for x in row])
+    return out.getvalue()
 
 
 def _load_graph(args, path):
@@ -160,14 +183,14 @@ def _load_graph(args, path):
     return g
 
 
-def cmd_homology(args) -> None:
+def cmd_homology(args):
     inputs = [args.graph] + ([args.vertices] if args.vertices else [])
-    manifest, run_dir = _start_run(args, "homology", inputs)
+    manifest = _manifest(args, "homology", inputs)
     g = _load_graph(args, args.graph)
     betti = cubical.betti_numbers(g, args.max_dim, cap=args.cap)
-    print(dump_json(betti), end="")
-    _write_json_file(run_dir / "betti.json", {"betti": betti, "manifest": manifest.digest})
-    _finish_run(manifest, args)
+    return manifest, dump_json(betti), {
+        "betti.json": dump_json({"betti": betti, "manifest": manifest.digest})
+    }
 
 
 def _sniff_series(path) -> bool:
@@ -179,11 +202,11 @@ def _sniff_series(path) -> bool:
     return False
 
 
-def cmd_persist(args) -> None:
+def cmd_persist(args):
     if args.dim < 0:
         raise ValidationError("--dim must be >= 0")
     inputs = [args.input] + ([args.vertices] if args.vertices else [])
-    manifest, run_dir = _start_run(args, "persist", inputs)
+    manifest = _manifest(args, "persist", inputs)
     if _sniff_series(args.input):
         table = read_series_csv(args.input)
         g = correlation_graph(table)
@@ -201,22 +224,21 @@ def cmd_persist(args) -> None:
     else:
         fc = assign_filtration(g, args.dim)
         diag = reduce_filtration(fc, args.dim)
-    write_diagram_json(diag, run_dir / f"diagram_dim{args.dim}.json", manifest.digest)
-    with open(run_dir / f"barcode_dim{args.dim}.svg", "w") as fh:
-        fh.write(barcode_svg(diag, version=__version__))
-    print(f"{run_dir}/diagram_dim{args.dim}.json")
-    _finish_run(manifest, args)
+    diagram = f"diagram_dim{args.dim}.json"
+    return manifest, f"{manifest.run_dir(args.out_dir)}/{diagram}\n", {
+        diagram: lambda path: write_diagram_json(diag, path, manifest.digest),
+        f"barcode_dim{args.dim}.svg": barcode_svg(diag, version=__version__),
+    }
 
 
-def cmd_bottleneck(args) -> None:
-    manifest, run_dir = _start_run(args, "bottleneck", [args.diagram_a, args.diagram_b])
+def cmd_bottleneck(args):
+    manifest = _manifest(args, "bottleneck", [args.diagram_a, args.diagram_b])
     a = read_diagram_json(args.diagram_a)
     b = read_diagram_json(args.diagram_b)
     distance = bottleneck(a, b)
-    text = format_float(distance).strip('"')
-    print(text)
-    _write_json_file(run_dir / "distance.json", {"distance": distance, "manifest": manifest.digest})
-    _finish_run(manifest, args)
+    return manifest, format_float(distance).strip('"') + "\n", {
+        "distance.json": dump_json({"distance": distance, "manifest": manifest.digest})
+    }
 
 
 def parse_config(path) -> dict[str, tuple[str, int]]:
@@ -269,18 +291,7 @@ def config_schema(name: str) -> dict:
     return schema
 
 
-def _write_trials_csv(path: Path, rows, manifest_digest: str) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# manifest: {manifest_digest}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["trial", "quantity", "value"])
-        for trial, quantity, value in rows:
-            if isinstance(value, float):
-                value = format(value, ".17g")
-            writer.writerow([trial, quantity, value])
-
-
-def cmd_experiment(args) -> None:
+def cmd_experiment(args):
     cfg_args = {}
     if args.config:
         cfg_args = _coerce(parse_config(args.config), config_schema(args.name), args.config)
@@ -289,9 +300,8 @@ def cmd_experiment(args) -> None:
     w_values = cfg_args.pop("w_values", W_VALUES)
     cfg = EXPERIMENTS[args.name](seed=args.seed, **cfg_args)
     threads = args.threads if args.threads is not None else default_threads()
-    manifest, run_dir = _start_run(
-        args, f"experiment-{args.name}", [args.config] if args.config else []
-    )
+    manifest = _manifest(args, f"experiment-{args.name}", [args.config] if args.config else [])
+    files = {}
     if args.name == "circle":
         out = run_circle(cfg, threads=threads)
         rows = [
@@ -318,22 +328,18 @@ def cmd_experiment(args) -> None:
                         int(detected == t["planted"]),
                     )
                 )
-        with open(run_dir / "accuracy.csv", "w", newline="") as fh:
-            fh.write(f"# manifest: {manifest.digest}\n")
-            writer = csv.writer(fh)
-            writer.writerow(["w", "model", "accuracy"])
-            for entry in out["accuracy"]:
-                writer.writerow(
-                    [format(entry["w"], "g"), entry["model"], format(entry["accuracy"], ".17g")]
-                )
+        files["accuracy.csv"] = _csv_text(
+            manifest.digest,
+            ["w", "model", "accuracy"],
+            [(format(e["w"], "g"), e["model"], e["accuracy"]) for e in out["accuracy"]],
+        )
         out["summary"] = {"accuracy": out["accuracy"]}
-    _write_trials_csv(run_dir / "trials.csv", rows, manifest.digest)
+    files["trials.csv"] = _csv_text(manifest.digest, ["trial", "quantity", "value"], rows)
     summary = dict(out["summary"])
     summary["manifest"] = manifest.digest
     summary["rng"] = RNG_CONTRACT
-    _write_json_file(run_dir / "summary.json", summary)
-    print(dump_json(summary), end="")
-    _finish_run(manifest, args)
+    files["summary.json"] = dump_json(summary)
+    return manifest, files["summary.json"], files
 
 
 def _parse_range(option: str, text: str) -> tuple[float, float]:
@@ -344,8 +350,8 @@ def _parse_range(option: str, text: str) -> tuple[float, float]:
         raise ValidationError(f"{option} {text!r} is not low:high") from None
 
 
-def cmd_ingest(args) -> None:
-    manifest, run_dir = _start_run(args, f"ingest-{args.kind}", sorted(args.files))
+def cmd_ingest(args):
+    manifest = _manifest(args, f"ingest-{args.kind}", sorted(args.files))
     if args.kind == "stations":
         if not args.lat_range or not args.lon_range:
             raise ValidationError("stations ingest needs --lat-range and --lon-range")
@@ -360,24 +366,20 @@ def cmd_ingest(args) -> None:
             raise ValidationError("quotes ingest needs --tickers")
         spec = QuoteSeriesSpec(tuple(args.tickers.split(",")), price_column=args.price_column)
         table, warnings = load_quote_series(args.files, spec)
-    write_series_csv(table, run_dir / "series.csv")
-    _write_json_file(
-        run_dir / "ingest.json",
-        {
-            "series": table.names,
-            "warnings": warnings.as_dict(),
-            "manifest": manifest.digest,
-        },
-    )
-    print(f"{run_dir}/series.csv ({table.series_count} series)")
     for key, count in warnings.as_dict().items():
         if count:
             print(f"warning: {key} = {count}", file=sys.stderr)
-    _finish_run(manifest, args)
+    text = f"{manifest.run_dir(args.out_dir)}/series.csv ({table.series_count} series)\n"
+    return manifest, text, {
+        "series.csv": lambda path: write_series_csv(table, path),
+        "ingest.json": dump_json(
+            {"series": table.names, "warnings": warnings.as_dict(), "manifest": manifest.digest}
+        ),
+    }
 
 
-def cmd_report_cycle(args) -> None:
-    manifest, run_dir = _start_run(args, "report-cycle", [args.series])
+def cmd_report_cycle(args):
+    manifest = _manifest(args, "report-cycle", [args.series])
     table = read_series_csv(args.series)
     report: dict = {"manifest": manifest.digest}
     if table.series_count < 5:
@@ -385,10 +387,7 @@ def cmd_report_cycle(args) -> None:
             "fewer than 5 series: degree-1 homology of the correlation filtration "
             "is necessarily trivial"
         )
-        print(report["notice"])
-        _write_json_file(run_dir / "report.json", report)
-        _finish_run(manifest, args)
-        return
+        return manifest, report["notice"] + "\n", {"report.json": dump_json(report)}
     g = correlation_graph(table)
     result = weighted_graph_persistence(g, "cubical")
     report["h0_merges"] = [
@@ -403,16 +402,13 @@ def cmd_report_cycle(args) -> None:
             "death": bar.death,
             "cycles": [[table.names[v] for v in cycle] for cycle in cycles],
         }
-        for cycle in report["h1_longest"]["cycles"]:
-            print(" -- ".join(cycle + cycle[:1]))
-        print(
-            f"born {format_float(bar.birth)} died {format_float(bar.death)}".replace('"', "")
-        )
+        lines = [" -- ".join(cycle + cycle[:1]) for cycle in report["h1_longest"]["cycles"]]
+        born = f"born {format_float(bar.birth)} died {format_float(bar.death)}"
+        lines.append(born.replace('"', ""))
     else:
         report["notice"] = "no degree-1 bars in the correlation filtration"
-        print(report["notice"])
-    _write_json_file(run_dir / "report.json", report)
-    _finish_run(manifest, args)
+        lines = [report["notice"]]
+    return manifest, "".join(line + "\n" for line in lines), {"report.json": dump_json(report)}
 
 
 if __name__ == "__main__":

@@ -112,18 +112,6 @@ def _number(cell: str, path, line: int, what: str) -> float:
 # -- graphs ------------------------------------------------------------------
 
 
-def write_edge_csv(g: WeightedGraph, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        if g.weights is None:
-            writer.writerow(["u", "v"])
-            writer.writerows(g.edges)
-        else:
-            writer.writerow(["u", "v", "weight"])
-            for (u, v), w in zip(g.edges, g.weights):
-                writer.writerow([u, v, format(w, ".17g")])
-
-
 def read_edge_csv(path, vertex_count: int | None = None) -> WeightedGraph:
     edges = []
     weights = []

@@ -62,8 +62,8 @@ class RunManifest:
         self.finished = datetime.datetime.now(datetime.timezone.utc).isoformat()
 
     def write(self, out_dir) -> Path:
+        """Write manifest.json into the run directory, which must exist."""
         directory = self.run_dir(out_dir)
-        directory.mkdir(parents=True, exist_ok=True)
         payload = {
             "command": self.command,
             "args": self.args,

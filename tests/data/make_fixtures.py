@@ -8,6 +8,7 @@ Deterministic; the committed CSVs are this script's output.
 from __future__ import annotations
 
 import csv
+import json
 import math
 from pathlib import Path
 
@@ -139,6 +140,18 @@ def quotes() -> None:
                 writer.writerow([date, format(close, ".17g"), format(close, ".17g")])
 
 
+def diagrams() -> None:
+    # two small degree-1 diagrams for the bottleneck command; dyadic values
+    # so the distance is exact in binary
+    pairs = {
+        "diagram_a.json": [(0.25, 1.5), (0.5, 0.75), (0.125, "inf")],
+        "diagram_b.json": [(0.375, 1.25), (0.0, "inf")],
+    }
+    for name, points in pairs.items():
+        payload = {"dimension": 1, "pairs": [{"birth": b, "death": d} for b, d in points]}
+        (HERE / name).write_text(json.dumps(payload) + "\n")
+
+
 if __name__ == "__main__":
     example33()
     greene()
@@ -146,4 +159,5 @@ if __name__ == "__main__":
     stations_small()
     stations_ring()
     quotes()
+    diagrams()
     print("fixtures written to", HERE)

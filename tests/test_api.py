@@ -29,6 +29,7 @@ MOVED = [
     ("graphhom.series", "FitConfig"),
     ("graphhom.builders", "multivariate_r2_info"),
     ("graphhom.experiments.weather", "weather_step"),
+    ("graphhom.io", "write_edge_csv"),
 ]
 MOVED_METHODS = [
     ("graphhom.graphs", "WeightedGraph", "threshold_subgraph"),

@@ -1,9 +1,14 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import hashlib
+import io
 import json
+import os
 import shutil
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,6 +17,8 @@ from graphhom.cli import build_parser, config_schema, main
 from graphhom.experiments.circle import CircleConfig
 from graphhom.experiments.multifit import MultiFitConfig
 from graphhom.experiments.weather import WeatherConfig
+
+from conftest import DATA
 
 
 def run_cli(capsys, *argv) -> tuple[int, str]:
@@ -511,6 +518,13 @@ def _config_sets_seed(tmp_path, data_dir):
     return argv, "unknown config keys: ['seed']"
 
 
+def _out_dir_is_a_file(tmp_path, data_dir):
+    out_dir = tmp_path / "runs"
+    out_dir.write_text("")
+    diagram = str(data_dir / "diagram_a.json")
+    return ["bottleneck", diagram, diagram], f"--out-dir {out_dir}: Not a directory"
+
+
 @pytest.mark.parametrize(
     "case",
     [
@@ -530,13 +544,16 @@ def _config_sets_seed(tmp_path, data_dir):
         _weather_w_value_nan,
         _circle_sigma_nan,
         _config_sets_seed,
+        _out_dir_is_a_file,
     ],
 )
 def test_bad_input_exit_code(case, capsys, data_dir, tmp_path):
     argv, message = case(tmp_path, data_dir)
-    code = main(argv + ["--out-dir", str(tmp_path / "runs")])
+    out_dir = tmp_path / "runs"
+    code = main(argv + ["--out-dir", str(out_dir)])
     assert code == 2
     assert message in capsys.readouterr().err
+    assert not out_dir.is_dir()  # a failed command makes no run directory
 
 
 COMMON_OPTIONS = {"--out-dir"}
@@ -592,3 +609,60 @@ def test_default_iterations():
     assert CircleConfig().iterations == 100
     assert MultiFitConfig().iterations == 1000
     assert WeatherConfig().iterations == 100
+
+
+GOLDEN = DATA / "cli_golden.json"
+#: commands whose result bytes pass through no BLAS or libm kernel, run from
+#: tests/data with relative paths so digests do not depend on the checkout
+GOLDEN_ARGV = {
+    "homology-greene-dim2": ["homology", "greene.csv", "--max-dim", "2"],
+    "homology-greene": ["homology", "greene.csv"],
+    "persist-example33-dim1": ["persist", "example33.csv", "--dim", "1"],
+    "persist-example33-dim2": ["persist", "example33.csv", "--dim", "2"],
+    "persist-example33-flag": ["persist", "example33.csv", "--method", "flag"],
+    "bottleneck": ["bottleneck", "diagram_a.json", "diagram_b.json"],
+    "ingest-stations": [
+        "ingest", "stations", "stations_small.csv", "--lat-range=42.7:45", "--lon-range=-80:-75"
+    ],
+    "ingest-quotes": [
+        "ingest", "quotes", *(f"quotes/{t}.csv" for t in "AAA AAB CCC DDD EEE FFF GGG".split()),
+        "--tickers", "AAA,AAB,CCC,DDD,EEE,FFF,GGG",
+    ],
+}
+
+
+def cli_record(argv, out_dir: Path) -> dict:
+    """Run argv in the current directory: run-dir name, stdout, sha256 per file.
+
+    The manifest is hashed without its timestamps.  Asserts that the run left
+    exactly one entry, its run directory, in out_dir.
+    """
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink):
+        assert main(argv + ["--out-dir", str(out_dir)]) == 0
+    (run_dir,) = out_dir.iterdir()
+    files = {}
+    for path in sorted(run_dir.iterdir()):
+        data = path.read_bytes()
+        if path.name == "manifest.json":
+            manifest = json.loads(data)
+            manifest.pop("timestamps")
+            data = json.dumps(manifest, sort_keys=True).encode()
+        files[path.name] = hashlib.sha256(data).hexdigest()
+    stdout = sink.getvalue().replace(str(out_dir), "<out-dir>")
+    return {"run_dir": run_dir.name, "stdout": stdout, "files": files}
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN_ARGV))
+def test_golden_output(key, monkeypatch, tmp_path):
+    monkeypatch.chdir(DATA)
+    expected = json.loads(GOLDEN.read_text())[key]
+    assert cli_record(GOLDEN_ARGV[key], tmp_path / "runs") == expected
+
+
+if __name__ == "__main__":
+    # rewrite the golden file: python tests/test_cli.py OUT_DIR (OUT_DIR must not exist)
+    scratch = Path(sys.argv[1]).resolve()
+    os.chdir(DATA)
+    golden = {key: cli_record(argv, scratch / key) for key, argv in GOLDEN_ARGV.items()}
+    GOLDEN.write_text(json.dumps(golden, indent=2, sort_keys=True) + "\n")

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import math
 
 import numpy as np
@@ -17,10 +18,22 @@ from graphhom.io import (
     read_series_csv,
     read_vertex_csv,
     write_diagram_json,
-    write_edge_csv,
     write_series_csv,
 )
 from graphhom.series import SeriesTable, aligned_table
+
+
+def write_edge_csv(g, path) -> None:
+    """The edge-list CSV that read_edge_csv reads, for the round trips."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        if g.weights is None:
+            writer.writerow(["u", "v"])
+            writer.writerows(g.edges)
+        else:
+            writer.writerow(["u", "v", "weight"])
+            for (u, v), w in zip(g.edges, g.weights):
+                writer.writerow([u, v, format(w, ".17g")])
 
 
 class TestSeriesTable:
