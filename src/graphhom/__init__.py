@@ -22,7 +22,6 @@ from .graphs import (  # noqa: F401
     all_pairs_distances,
 )
 from .cubical import (  # noqa: F401
-    SingularCube,
     ChainComplexZ2,
     face,
     is_degenerate,

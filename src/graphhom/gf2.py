@@ -17,42 +17,24 @@ def rows_of_column(col: int) -> list[int]:
     return rows
 
 
-class ColumnReducer:
-    """Incremental column elimination keyed by the highest set bit (pivot).
+def reduce(col: int, pivots: dict[int, int]) -> int:
+    """col reduced against columns keyed by their highest set bit (pivot).
 
-    add() reduces a column against the committed pivots and either commits it
-    (returns its pivot row) or reports linear dependence (returns None).
+    Returns 0 iff col lies in the span of the pivot columns; otherwise the
+    result's pivot is not among the keys, and the caller may commit it.
     """
-
-    def __init__(self) -> None:
-        self.pivots: dict[int, int] = {}
-
-    def reduce(self, col: int) -> int:
-        pivots = self.pivots
-        while col:
-            p = col.bit_length() - 1
-            other = pivots.get(p)
-            if other is None:
-                return col
-            col ^= other
-        return 0
-
-    def add(self, col: int) -> int | None:
-        col = self.reduce(col)
-        if col == 0:
-            return None
-        p = col.bit_length() - 1
-        self.pivots[p] = col
-        return p
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
+    while col:
+        other = pivots.get(col.bit_length() - 1)
+        if other is None:
+            return col
+        col ^= other
+    return 0
 
 
 def rank(columns) -> int:
-    red = ColumnReducer()
+    pivots: dict[int, int] = {}
     for col in columns:
-        red.add(col)
-    return red.rank
-
+        col = reduce(col, pivots)
+        if col:
+            pivots[col.bit_length() - 1] = col
+    return len(pivots)

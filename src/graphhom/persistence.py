@@ -3,7 +3,7 @@
 The chain complex of the final-stage graph is enumerated once; each cube gets
 the filtration value at which it first exists (the max weight among its image
 edges), and one global GF(2) column reduction of the filtered complex yields
-the birth/death pairing.  The elder rule is realized by the sort order:
+the birth/death pairing.  The elder rule is realized by the basis order:
 earlier-born columns win merges.
 """
 
@@ -15,8 +15,8 @@ from . import gf2
 from .cubical import (
     DEFAULT_CUBE_CAP,
     ChainComplexZ2,
-    SingularCube,
-    chain_complex,
+    corner_pairs,
+    enumerate_cubes,
 )
 from .diagrams import INF, PersistenceDiagram, PersistencePair
 from .errors import ValidationError
@@ -27,8 +27,11 @@ from .graphs import WeightedGraph
 class FilteredComplex:
     """A chain complex plus a filtration value per basis cube.
 
-    values[d][i] is the value of complex.basis[d][i]; faces never appear
-    later than the cubes they bound, and 0-cubes sit at value 0.
+    values[d][i] is the value of complex.basis[d][i].  Each basis[d] is in
+    filtration order: sorted by (value, vertex tuple), so values[d] is
+    non-decreasing and reduce() walks the boundary columns and rows as
+    stored.  Faces never appear later than the cubes they bound, and 0-cubes
+    sit at value 0.
     """
 
     complex: ChainComplexZ2
@@ -40,17 +43,18 @@ class FilteredComplex:
         return self.complex.max_dim
 
 
-def cube_value(cube: SingularCube, g: WeightedGraph) -> float:
+def cube_value(cube: tuple[int, ...], g: WeightedGraph) -> float:
     """Max weight over the cube's distinct-endpoint image edges; 0 if none."""
-    n = cube.dimension
-    a = cube.assignment
-    value = 0.0
-    for v in range(1 << n):
-        for i in range(n):
-            u = v ^ (1 << i)
-            if u > v and a[u] != a[v]:
-                value = max(value, g.weight_of(a[u], a[v]))
-    return value
+    n = len(cube).bit_length() - 1
+    return max(
+        [0.0]
+        + [
+            g.weight_of(cube[x], cube[y])
+            for pairs in corner_pairs(n)
+            for x, y in pairs
+            if cube[x] != cube[y]
+        ]
+    )
 
 
 def assign_filtration(
@@ -59,15 +63,14 @@ def assign_filtration(
     """Filtered cubical chain complex of a weighted graph, up to max_dim+1."""
     if g.weights is None:
         raise ValidationError("filtration requires edge weights")
-    cx = chain_complex(g, max_dim, cap=cap)
-    values = [[cube_value(c, g) for c in basis] for basis in cx.basis]
+    basis = []
+    values = []
+    for cubes in enumerate_cubes(g, max_dim + 1, cap=cap):
+        ordered = sorted((cube_value(c, g), c) for c in cubes)
+        values.append([v for v, _ in ordered])
+        basis.append([c for _, c in ordered])
     hi = max((w for w in g.weights), default=0.0)
-    return FilteredComplex(cx, values, (0.0, hi))
-
-
-def _sorted_order(fc: FilteredComplex, d: int) -> list[int]:
-    vals = fc.values[d]
-    return sorted(range(len(vals)), key=lambda i: (vals[i], fc.complex.basis[d][i].assignment))
+    return FilteredComplex(ChainComplexZ2(max_dim, basis), values, (0.0, hi))
 
 
 def reduce(fc: FilteredComplex, dim: int) -> PersistenceDiagram:
@@ -75,26 +78,25 @@ def reduce(fc: FilteredComplex, dim: int) -> PersistenceDiagram:
 
     Zero-length pairs are dropped; unpaired classes die at infinity.  Each
     dimension-1 pair keeps the representative cycle accumulated at birth.
+    Columns are reduced in stored order, so a complex whose values[d]
+    decrease anywhere is rejected.
     """
     if not 0 <= dim <= fc.max_dim:
         raise ValidationError(f"dimension {dim} outside filtered range 0..{fc.max_dim}")
-    order_d = _sorted_order(fc, dim)
-    pos_d = {c: i for i, c in enumerate(order_d)}
+    for vals in fc.values:
+        if any(a > b for a, b in zip(vals, vals[1:])):
+            raise ValidationError("filtration values must be non-decreasing in basis order")
+    basis_d = fc.complex.basis[dim]
     vals_d = fc.values[dim]
 
     # phase 1: reduce boundary[dim]; columns reducing to zero create classes
-    births: list[tuple[int, float, tuple | None]] = []  # (sorted pos, value, representative)
+    births: list[tuple[int, float, tuple | None]] = []  # (column, value, representative)
     if dim == 0:
-        for i, c in enumerate(order_d):
-            births.append((i, 0.0, None))
+        births = [(i, 0.0, None) for i in range(len(basis_d))]
     else:
-        pos_low = {c: i for i, c in enumerate(_sorted_order(fc, dim - 1))}
-        bd = fc.complex.boundary[dim]
-        basis_d = fc.complex.basis[dim]
         pivots: dict[int, int] = {}
         chains: dict[int, int] = {}
-        for i, c in enumerate(order_d):
-            col = _permute_column(bd[c], pos_low)
+        for i, col in enumerate(fc.complex.boundary[dim]):
             chain = 1 << i
             while col:
                 p = col.bit_length() - 1
@@ -109,11 +111,8 @@ def reduce(fc: FilteredComplex, dim: int) -> PersistenceDiagram:
             else:
                 rep = None
                 if dim == 1:
-                    rep = tuple(
-                        basis_d[order_d[j]].assignment
-                        for j in gf2.rows_of_column(chain)
-                    )
-                births.append((i, vals_d[c], rep))
+                    rep = tuple(basis_d[j] for j in gf2.rows_of_column(chain))
+                births.append((i, vals_d[i], rep))
 
     birth_at: dict[int, tuple[float, tuple | None]] = {i: (v, r) for i, v, r in births}
 
@@ -124,40 +123,25 @@ def reduce(fc: FilteredComplex, dim: int) -> PersistenceDiagram:
     pairs: list[PersistencePair] = []
     killed: set[int] = set()
     if dim + 1 < len(fc.complex.basis):
-        basis_d = fc.complex.basis[dim]
-        order_hi = _sorted_order(fc, dim + 1)
         vals_hi = fc.values[dim + 1]
-        bd_hi = fc.complex.boundary[dim + 1]
-        reducer = gf2.ColumnReducer()
-        for c in order_hi:
-            col = reducer.reduce(_permute_column(bd_hi[c], pos_d))
+        pivots = {}
+        for j, col in enumerate(fc.complex.boundary[dim + 1]):
+            col = gf2.reduce(col, pivots)
             if col == 0:
                 continue
             p = col.bit_length() - 1
-            reducer.pivots[p] = col
+            pivots[p] = col
             if p not in birth_at:
                 raise ValidationError("pivot landed on a non-creating column; basis unsorted?")
             killed.add(p)
             birth, _ = birth_at[p]
-            if vals_hi[c] > birth:
+            if vals_hi[j] > birth:
                 rep = None
                 if dim == 1:
-                    rep = tuple(
-                        basis_d[order_d[j]].assignment for j in gf2.rows_of_column(col)
-                    )
-                pairs.append(PersistencePair(birth, vals_hi[c], rep))
+                    rep = tuple(basis_d[r] for r in gf2.rows_of_column(col))
+                pairs.append(PersistencePair(birth, vals_hi[j], rep))
 
     for i, (birth, rep) in birth_at.items():
         if i not in killed:
             pairs.append(PersistencePair(birth, INF, rep))
     return PersistenceDiagram(dim, pairs, span=fc.span, method="cubical")
-
-
-def _permute_column(col: int, new_pos: dict[int, int]) -> int:
-    out = 0
-    while col:
-        low = col & -col
-        out |= 1 << new_pos[low.bit_length() - 1]
-        col ^= low
-    return out
-

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from graphhom import gf2
-from graphhom.cubical import DEFAULT_CUBE_CAP, SingularCube
+from graphhom.cubical import DEFAULT_CUBE_CAP
 from graphhom.diagrams import INF, PersistenceDiagram, PersistencePair
 from graphhom.errors import ValidationError
 from graphhom.gf2 import rows_of_column
@@ -317,10 +317,11 @@ def is_graph_map(f: GraphMap) -> bool:
     )
 
 
-def cube_is_valid(cube: SingularCube, g: WeightedGraph) -> bool:
-    """True iff the assignment defines a graph map from the n-cube into g."""
-    n = cube.dimension
-    a = cube.assignment
+def cube_is_valid(a: tuple[int, ...], g: WeightedGraph) -> bool:
+    """True iff the vertex tuple defines a graph map from the n-cube into g."""
+    n = len(a).bit_length() - 1
+    if len(a) != 1 << n:
+        raise ValidationError(f"a cube needs 2^n vertices, got {len(a)}")
     for x in a:
         if not 0 <= x < g.vertex_count:
             raise ValidationError(f"assignment value {x} out of range")
@@ -388,10 +389,12 @@ def column_from_rows(rows) -> int:
 
 def in_span(columns, target: int) -> bool:
     """True iff target lies in the GF(2) span of the given columns."""
-    red = gf2.ColumnReducer()
+    pivots: dict[int, int] = {}
     for col in columns:
-        red.add(col)
-    return red.reduce(target) == 0
+        col = gf2.reduce(col, pivots)
+        if col:
+            pivots[col.bit_length() - 1] = col
+    return gf2.reduce(target, pivots) == 0
 
 
 def mul_column(columns: list[int], col: int) -> int:

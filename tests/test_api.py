@@ -23,6 +23,8 @@ MOVED = [
     ("graphhom.graphs", "eccentricity"),
     ("graphhom.graphs", "connected_components"),
     ("graphhom.cubical", "cube_is_valid"),
+    ("graphhom.cubical", "SingularCube"),
+    ("graphhom.gf2", "ColumnReducer"),
     ("graphhom.gf2", "in_span"),
     ("graphhom.gf2", "column_from_rows"),
     ("graphhom.gf2", "GF2Matrix"),

@@ -453,6 +453,10 @@ def _negative_homology_dim(tmp_path, data_dir):
     return ["homology", str(data_dir / "greene.csv"), "--max-dim", "-1"], "max_dim must be >= 0"
 
 
+def _negative_cap(tmp_path, data_dir):
+    return ["homology", str(data_dir / "greene.csv"), "--cap", "-5"], "cap must be >= 1"
+
+
 def _negative_multifit_iterations(tmp_path, data_dir):
     argv = ["experiment", "multifit", "--iterations", "-3", "--threads", "1"]
     return argv, "iterations must be >= 1"
@@ -534,6 +538,7 @@ def _out_dir_is_a_file(tmp_path, data_dir):
         _config_value_not_integer,
         _negative_persist_dim,
         _negative_homology_dim,
+        _negative_cap,
         _negative_multifit_iterations,
         _series_value_nan,
         _edge_weight_inf,

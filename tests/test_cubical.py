@@ -8,7 +8,6 @@ import pytest
 from graphhom.cubical import (
     NEGATIVE,
     POSITIVE,
-    SingularCube,
     betti_numbers,
     boundary_matrix,
     chain_complex,
@@ -23,61 +22,66 @@ from conftest import random_graph
 from oracles import GraphMap, connected_components, cube_is_valid, is_graph_map, mul_column
 
 
-def naive_cubes(g: WeightedGraph, dim: int) -> list[SingularCube]:
+def naive_cubes(g: WeightedGraph, dim: int) -> list[tuple[int, ...]]:
     """Brute-force oracle: all |V|^(2^dim) assignments, filtered."""
     out = []
     cube = hypercube(dim)
     for assignment in itertools.product(range(g.vertex_count), repeat=1 << dim):
-        if is_graph_map(GraphMap(cube, g, assignment)):
-            candidate = SingularCube(dim, assignment)
-            if not is_degenerate(candidate):
-                out.append(candidate)
+        if is_graph_map(GraphMap(cube, g, assignment)) and not is_degenerate(assignment):
+            out.append(assignment)
     return out
 
 
 class TestFace:
     def test_one_cube_endpoints(self):
-        edge = SingularCube(1, (3, 7))
-        assert face(edge, 1, NEGATIVE).assignment == (3,)
-        assert face(edge, 1, POSITIVE).assignment == (7,)
+        edge = (3, 7)
+        assert face(edge, 1, NEGATIVE) == (3,)
+        assert face(edge, 1, POSITIVE) == (7,)
 
     def test_constant_square_faces(self):
-        square = SingularCube(2, (4, 4, 4, 4))
+        square = (4, 4, 4, 4)
         for i in (1, 2):
             for sign in (NEGATIVE, POSITIVE):
-                assert face(square, i, sign).assignment == (4, 4)
+                assert face(square, i, sign) == (4, 4)
 
     def test_insertion_convention(self):
-        # assignment lists corners as (00, 10, 01, 11)
-        square = SingularCube(2, ("a", "b", "c", "d"))
-        assert face(square, 1, NEGATIVE).assignment == ("a", "c")
-        assert face(square, 1, POSITIVE).assignment == ("b", "d")
-        assert face(square, 2, NEGATIVE).assignment == ("a", "b")
-        assert face(square, 2, POSITIVE).assignment == ("c", "d")
+        # the tuple lists corners as (00, 10, 01, 11)
+        square = ("a", "b", "c", "d")
+        assert face(square, 1, NEGATIVE) == ("a", "c")
+        assert face(square, 1, POSITIVE) == ("b", "d")
+        assert face(square, 2, NEGATIVE) == ("a", "b")
+        assert face(square, 2, POSITIVE) == ("c", "d")
 
     def test_face_index_out_of_range(self):
         with pytest.raises(ValidationError):
-            face(SingularCube(1, (0, 1)), 2, NEGATIVE)
+            face((0, 1), 2, NEGATIVE)
+
+    @pytest.mark.parametrize("cube", [(), (0, 1, 2), (0, 1, 2, 3, 4, 5)])
+    def test_length_not_power_of_two(self, cube):
+        with pytest.raises(ValidationError):
+            face(cube, 1, NEGATIVE)
+        with pytest.raises(ValidationError):
+            is_degenerate(cube)
 
 
 class TestDegenerate:
     def test_constant_edge_degenerate(self):
-        assert is_degenerate(SingularCube(1, (5, 5)))
+        assert is_degenerate((5, 5))
 
     def test_proper_edge_not_degenerate(self):
-        assert not is_degenerate(SingularCube(1, (1, 2)))
+        assert not is_degenerate((1, 2))
 
     def test_equal_rows_degenerate(self):
-        assert is_degenerate(SingularCube(2, (1, 2, 1, 2)))
+        assert is_degenerate((1, 2, 1, 2))
 
     def test_zero_cube_not_degenerate(self):
-        assert not is_degenerate(SingularCube(0, (3,)))
+        assert not is_degenerate((3,))
 
 
 class TestEnumeration:
     def test_single_edge_one_cubes(self):
         cubes = enumerate_cubes(line_graph(1), 1)
-        assert [c.assignment for c in cubes[1]] == [(0, 1), (1, 0)]
+        assert cubes[1] == [(0, 1), (1, 0)]
 
     def test_pentagon_one_cubes(self):
         cubes = enumerate_cubes(cycle_graph(5), 1)
@@ -95,8 +99,7 @@ class TestEnumeration:
             g = random_graph(rng, max_vertices=6, weighted=False)
             cubes = enumerate_cubes(g, 2)
             for dim in (1, 2):
-                expected = {c.assignment for c in naive_cubes(g, dim)}
-                assert {c.assignment for c in cubes[dim]} == expected
+                assert set(cubes[dim]) == set(naive_cubes(g, dim))
 
     def test_matches_naive_oracle_dim3(self):
         # |V|^(2^3) assignments stay feasible only for tiny graphs
@@ -104,18 +107,21 @@ class TestEnumeration:
         for _ in range(4):
             g = random_graph(rng, max_vertices=3, edge_probability=0.8, weighted=False)
             cubes = enumerate_cubes(g, 3)
-            expected = {c.assignment for c in naive_cubes(g, 3)}
-            assert {c.assignment for c in cubes[3]} == expected
+            assert set(cubes[3]) == set(naive_cubes(g, 3))
 
     def test_canonical_order(self):
         cubes = enumerate_cubes(cycle_graph(4), 2)
         for basis in cubes:
-            assignments = [c.assignment for c in basis]
-            assert assignments == sorted(assignments)
+            assert basis == sorted(basis)
 
     def test_cap_exceeded(self):
         with pytest.raises(ResourceCapError):
             enumerate_cubes(cycle_graph(9), 2, cap=30)
+
+    @pytest.mark.parametrize("cap", [0, -5])
+    def test_cap_below_one(self, cap):
+        with pytest.raises(ValidationError):
+            enumerate_cubes(cycle_graph(4), 1, cap=cap)
 
     def test_cubes_are_valid_maps(self):
         g = cycle_graph(6)
@@ -135,7 +141,7 @@ class TestBoundary:
     def test_square_boundary_in_c4(self):
         g = cycle_graph(4)
         cubes = enumerate_cubes(g, 2)
-        index = {c.assignment: i for i, c in enumerate(cubes[2])}
+        index = {c: i for i, c in enumerate(cubes[2])}
         square = (0, 1, 3, 2)  # traces the 4-cycle: rows 0-1, 0-3, 1-2, 3-2
         bd = boundary_matrix(cubes, 2)
         col = bd[index[square]]
@@ -144,7 +150,7 @@ class TestBoundary:
             low = col & -col
             rows.add(low.bit_length() - 1)
             col ^= low
-        face_assignments = {cubes[1][r].assignment for r in rows}
+        face_assignments = {cubes[1][r] for r in rows}
         assert face_assignments == {(0, 1), (3, 2), (0, 3), (1, 2)}
 
     def test_boundary_squares_to_zero(self):

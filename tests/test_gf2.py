@@ -28,10 +28,12 @@ def test_in_span():
 
 
 def test_reducer_detects_dependence():
-    reducer = gf2.ColumnReducer()
-    assert reducer.add(0b11) is not None
-    assert reducer.add(0b10) is not None
-    assert reducer.add(0b01) is None
+    pivots: dict[int, int] = {}
+    for col in (0b11, 0b10):
+        col = gf2.reduce(col, pivots)
+        assert col != 0
+        pivots[col.bit_length() - 1] = col
+    assert gf2.reduce(0b01, pivots) == 0
 
 
 def test_rank_matches_row_elimination():

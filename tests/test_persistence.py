@@ -5,11 +5,10 @@ import random
 
 import pytest
 
-from graphhom.cubical import SingularCube
 from graphhom.diagrams import INF, cycle_vertices
 from graphhom.engine import weighted_graph_persistence
 from graphhom.errors import ValidationError
-from graphhom.graphs import WeightedGraph, complete_graph, cycle_graph
+from graphhom.graphs import WeightedGraph, complete_graph, cycle_graph, greene_sphere
 from graphhom.persistence import assign_filtration, cube_value, reduce
 
 from conftest import random_graph
@@ -33,15 +32,15 @@ def example33_graph() -> WeightedGraph:
 class TestAssignFiltration:
     def test_edge_cube_value(self):
         g = cycle_graph(3).with_weights([0.3, 0.5, 0.2])
-        assert cube_value(SingularCube(1, (0, 1)), g) == 0.3
+        assert cube_value((0, 1), g) == 0.3
 
     def test_constant_cube_value_zero(self):
         g = cycle_graph(3).with_uniform_weights(0.4)
-        assert cube_value(SingularCube(2, (1, 1, 1, 1)), g) == 0.0
+        assert cube_value((1, 1, 1, 1), g) == 0.0
 
     def test_square_cube_max_weight(self):
         g = cycle_graph(4).with_weights([0.2, 0.5, 0.1, 0.3])
-        value = cube_value(SingularCube(2, (0, 1, 3, 2)), g)
+        value = cube_value((0, 1, 3, 2), g)
         assert value == 0.5
 
     def test_vertices_at_zero_and_faces_monotone(self):
@@ -113,21 +112,30 @@ def critical_values(g: WeightedGraph) -> list[float]:
     return sorted({0.0, *g.weights})
 
 
+def assert_stagewise_betti(g: WeightedGraph, max_dim: int) -> list:
+    """reduce() in dimensions 0..max_dim against stage-wise Betti numbers."""
+    fc = assign_filtration(g, max_dim)
+    diagrams = [reduce(fc, d) for d in range(max_dim + 1)]
+    for r in critical_values(g):
+        for d, diagram in enumerate(diagrams):
+            assert count_alive_at(diagram, r) == betti_at(fc, r, d), (g.edges, g.weights, r, d)
+    return diagrams
+
+
 class TestOracleEquivalence:
     def test_reduce_matches_stagewise_betti(self):
         rng = random.Random(99)
         for _ in range(25):
-            g = random_graph(rng, max_vertices=7)
-            fc = assign_filtration(g, 1)
-            diagrams = [reduce(fc, d) for d in (0, 1)]
-            for r in critical_values(g):
-                for d in (0, 1):
-                    assert count_alive_at(diagrams[d], r) == betti_at(fc, r, d), (
-                        g.edges,
-                        g.weights,
-                        r,
-                        d,
-                    )
+            assert_stagewise_betti(random_graph(rng, max_vertices=7), 1)
+        # dimension 2 enumerates 3-cubes (a dense 6-vertex graph has ~500k),
+        # so the random graphs stay small and sparse; Greene's sphere keeps
+        # one H2 bar under any weights
+        for _ in range(20):
+            assert_stagewise_betti(random_graph(rng, max_vertices=6, edge_probability=0.4), 2)
+        sphere = greene_sphere()
+        sphere = sphere.with_weights([round(rng.random(), 2) for _ in sphere.edges])
+        h2 = assert_stagewise_betti(sphere, 2)[2]
+        assert [p.death for p in h2.pairs] == [INF]
 
 
 class TestEngineEquivalence:
@@ -197,7 +205,7 @@ class TestEngineEquivalence:
             if not finite:
                 continue
             fc = assign_filtration(g, 1)
-            basis1 = {c.assignment: i for i, c in enumerate(fc.complex.basis[1])}
+            basis1 = {c: i for i, c in enumerate(fc.complex.basis[1])}
             for pair in finite:
                 # birth-time cycle: all representative edges are alive at birth
                 assert all(
@@ -251,3 +259,10 @@ def test_reduce_rejects_bad_dimension():
     fc = assign_filtration(example33_graph(), 1)
     with pytest.raises(ValidationError):
         reduce(fc, 2)
+
+
+def test_reduce_rejects_values_out_of_filtration_order():
+    fc = assign_filtration(example33_graph(), 1)
+    fc.values[1].reverse()
+    with pytest.raises(ValidationError):
+        reduce(fc, 0)
