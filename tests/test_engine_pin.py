@@ -4,7 +4,7 @@ PersistenceDiagram equality and the oracle tests compare (birth, death)
 multisets only, so a change to the sweep that alters a representative cycle
 passes them; the weather detector reads that cycle.  This test fixes the
 engine's output, both methods, on tied random graphs and on clean and noisy
-circles up to n = 120.
+circles up to n = 240.
 
 Every input is built from integers stored in tests/data/engine_pin.json
 (tied weight levels; integer points weighted by squared distance), so the
@@ -79,7 +79,7 @@ def make_cases() -> dict:
         )
         cases[f"tied-{k:02d}"] = {"n": n, "cells": cells}
     radius = 1000
-    for n in (30, 60, 120):
+    for n in (30, 60, 120, 240):
         for name, sigma in (("clean", 0.0), ("noisy", 100.0)):
             coords = []
             for k in range(n):
