@@ -45,14 +45,14 @@ class FilteredComplex:
 
 def cube_value(cube: tuple[int, ...], g: WeightedGraph) -> float:
     """Max weight over the cube's distinct-endpoint image edges; 0 if none."""
-    n = len(cube).bit_length() - 1
+    index, weights = g.edge_index(), g.weights
     return max(
         [0.0]
         + [
-            g.weight_of(cube[x], cube[y])
-            for pairs in corner_pairs(n)
+            weights[index[(a, b) if a < b else (b, a)]]
+            for pairs in corner_pairs(len(cube).bit_length() - 1)
             for x, y in pairs
-            if cube[x] != cube[y]
+            if (a := cube[x]) != (b := cube[y])
         ]
     )
 

@@ -122,7 +122,9 @@ def test_engine_h1_matches_textbook_reduction(method):
     """The engine's sweep against the full simplex-wise reduction, tied weights included.
 
     The cubical oracle adds every 4-cycle as a 2-cell, so it also checks the
-    engine's two prunes on graphs too large for the cube-level reference.
+    cells the engine never builds, those no live cocycle sums to 1 on and the
+    4-cycles with an arrived diagonal, on graphs too large for the cube-level
+    reference.
     """
     rng = random.Random(1901)
     for _ in range(400):
