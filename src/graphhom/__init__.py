@@ -5,7 +5,9 @@ cubes and Betti numbers (cubical), filtered persistence with a fast
 edge-space engine that also computes the flag-complex baseline (persistence,
 engine), bottleneck distance (bottleneck), correlation/metric filtration
 builders (builders, series), experiment harnesses (experiments), file
-ingestion (ingest) and the command-line interface (cli).
+ingestion (ingest) and the command-line interface (cli).  Betti numbers are
+the bars that never die: the engine gives degrees 0 and 1, the cube-level
+reduction degrees 2 and up.
 """
 
 __version__ = "0.1.0"

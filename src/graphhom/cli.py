@@ -81,7 +81,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-dim", type=int, default=1)
     p.add_argument("--vertices", help="vertex metadata CSV (id,label,x,y)")
     p.add_argument("--vertex-count", type=int)
-    p.add_argument("--cap", type=int, default=cubical.DEFAULT_CUBE_CAP)
+    cap_help = "most cubes enumerated per dimension; applies to --max-dim >= 2"
+    p.add_argument("--cap", type=int, default=cubical.DEFAULT_CUBE_CAP, help=cap_help)
     common(p)
     p.set_defaults(func=cmd_homology)
 
@@ -215,8 +216,6 @@ def cmd_persist(args):
         if g.weights is None:
             raise ValidationError("persistence needs a weighted graph (u,v,weight)")
     if args.method == "flag":
-        if args.dim > 1:
-            raise ValidationError("flag persistence is limited to dimension <= 1")
         diag = flag_persistence(g, max_dim=args.dim)[args.dim]
     elif args.dim <= 1:
         result = weighted_graph_persistence(g, "cubical")

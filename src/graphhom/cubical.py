@@ -5,7 +5,9 @@ G, stored as the plain tuple of its 2^n vertices.  Tuple entries are indexed
 by bit-vectors (x_1, ..., x_n) packed with x_1 as the least significant bit,
 so a tuple of length 2^n is an n-cube.  Faces fix one coordinate, and the
 boundary of a cube is the mod-2 sum of its non-degenerate faces.  Homology is
-the kernel-mod-image of the resulting chain complex of non-degenerate cubes.
+the kernel-mod-image of the resulting chain complex of non-degenerate cubes;
+its Betti numbers are the bars that never die in a filtration ending at G.
+The engine gives degrees 0 and 1 without a cube, persistence the rest.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ import itertools
 from dataclasses import dataclass, field
 
 from . import gf2
+from .diagrams import INF
+from .engine import weighted_graph_persistence
 from .errors import ResourceCapError, ValidationError
 from .graphs import WeightedGraph
 
@@ -173,16 +177,22 @@ def chain_complex(g: WeightedGraph, max_dim: int, cap: int = DEFAULT_CUBE_CAP) -
 
 
 def betti_numbers(g: WeightedGraph, max_dim: int, cap: int = DEFAULT_CUBE_CAP) -> list[int]:
-    """Betti numbers beta_0..beta_max_dim of the discrete cubical complex.
+    """beta_0..beta_max_dim: the bars that never die when every edge enters at 1.0.
 
-    beta_d = dim ker boundary[d] - rank boundary[d+1] over GF(2).
+    (Zomorodian and Carlsson, "Computing persistent homology", DCG 2005.)
+    Degrees 0 and 1 come from the engine; degrees >= 2 from persistence.reduce
+    over the cubes up to max_dim + 1, whose enumeration `cap` bounds.
     """
+    from .persistence import assign_filtration, reduce
+
     if max_dim < 0:
         raise ValidationError("max_dim must be >= 0")
-    cx = chain_complex(g, max_dim, cap=cap)
-    ranks = [gf2.rank(m) for m in cx.boundary]
-    betti = []
-    for d in range(max_dim + 1):
-        kernel = len(cx.basis[d]) - ranks[d]
-        betti.append(kernel - ranks[d + 1])
-    return betti
+    if cap < 1:
+        raise ValidationError("cap must be >= 1")
+    g = g.with_uniform_weights(1.0)
+    result = weighted_graph_persistence(g)
+    diagrams = [result.h0, result.h1][: max_dim + 1]
+    if max_dim >= 2:
+        fc = assign_filtration(g, max_dim, cap=cap)
+        diagrams += [reduce(fc, d) for d in range(2, max_dim + 1)]
+    return [sum(p.death == INF for p in diagram.pairs) for diagram in diagrams]

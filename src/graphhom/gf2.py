@@ -29,12 +29,3 @@ def reduce(col: int, pivots: dict[int, int]) -> int:
             return col
         col ^= other
     return 0
-
-
-def rank(columns) -> int:
-    pivots: dict[int, int] = {}
-    for col in columns:
-        col = reduce(col, pivots)
-        if col:
-            pivots[col.bit_length() - 1] = col
-    return len(pivots)

@@ -11,13 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import gf2
-from .cubical import (
-    DEFAULT_CUBE_CAP,
-    ChainComplexZ2,
-    corner_pairs,
-    enumerate_cubes,
-)
+from .cubical import DEFAULT_CUBE_CAP, ChainComplexZ2, corner_pairs, enumerate_cubes
 from .diagrams import INF, PersistenceDiagram, PersistencePair
 from .errors import ValidationError
 from .graphs import WeightedGraph
@@ -43,33 +40,30 @@ class FilteredComplex:
         return self.complex.max_dim
 
 
-def cube_value(cube: tuple[int, ...], g: WeightedGraph) -> float:
-    """Max weight over the cube's distinct-endpoint image edges; 0 if none."""
-    index, weights = g.edge_index(), g.weights
-    return max(
-        [0.0]
-        + [
-            weights[index[(a, b) if a < b else (b, a)]]
-            for pairs in corner_pairs(len(cube).bit_length() - 1)
-            for x, y in pairs
-            if (a := cube[x]) != (b := cube[y])
-        ]
-    )
-
-
 def assign_filtration(
     g: WeightedGraph, max_dim: int, cap: int = DEFAULT_CUBE_CAP
 ) -> FilteredComplex:
-    """Filtered cubical chain complex of a weighted graph, up to max_dim+1."""
+    """Cubes up to max_dim+1, each at the max weight of its image edges (0-cubes at 0)."""
     if g.weights is None:
         raise ValidationError("filtration requires edge weights")
-    basis = []
-    values = []
-    for cubes in enumerate_cubes(g, max_dim + 1, cap=cap):
-        ordered = sorted((cube_value(c, g), c) for c in cubes)
-        values.append([v for v, _ in ordered])
-        basis.append([c for _, c in ordered])
-    hi = max((w for w in g.weights), default=0.0)
+    # w[a, b]: weight of edge ab; a constant pair reads the diagonal's 0.0
+    w = np.zeros((g.vertex_count, g.vertex_count))
+    a, b = np.array(g.edges, dtype=np.intp).reshape(-1, 2).T
+    w[a, b] = w[b, a] = g.weights
+    basis, values = [], []
+    for d, cubes in enumerate(enumerate_cubes(g, max_dim + 1, cap=cap)):
+        corners = np.array(cubes, dtype=np.intp).reshape(-1, 1 << d)
+        vals = np.zeros(len(cubes))
+        for side in corner_pairs(d):
+            for x, y in side:
+                np.maximum(vals, w[corners[:, x], corners[:, y]], out=vals)
+        # cubes arrive sorted by vertex tuple, so a stable sort on the value
+        # orders them by (value, vertex tuple)
+        order = np.argsort(vals, kind="stable")
+        values.append(vals[order].tolist())
+        basis.append([cubes[i] for i in order.tolist()])
+        del corners  # so it is not held while the boundary matrices are built
+    hi = max(g.weights, default=0.0)
     return FilteredComplex(ChainComplexZ2(max_dim, basis), values, (0.0, hi))
 
 

@@ -10,11 +10,13 @@ None of it runs in the production path.  The sections are:
   persistence.  With ``squares=True`` every 4-cycle also enters as a 2-cell,
   at the max of its four edge weights; the degree-0/1 diagrams are then those
   of discrete cubical persistence;
-* stage-wise Betti numbers and the diagram wrapper over the cube-level
-  reduction in graphhom.persistence;
+* the cube value, stage-wise Betti numbers, rank-based Betti numbers and
+  the diagram wrapper, the oracles for graphhom.persistence and
+  graphhom.cubical.betti_numbers;
 * a brute-force bottleneck distance over every matching;
 * graph maps, components, eccentricity and threshold subgraphs;
-* GF(2) helpers: columns from rows, span membership, matrix times column.
+* GF(2) helpers: rank, columns from rows, span membership, matrix times
+  column.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from graphhom import gf2
-from graphhom.cubical import DEFAULT_CUBE_CAP
+from graphhom.cubical import DEFAULT_CUBE_CAP, chain_complex, corner_pairs
 from graphhom.diagrams import INF, PersistenceDiagram, PersistencePair
 from graphhom.errors import ValidationError
 from graphhom.gf2 import rows_of_column
@@ -189,7 +191,27 @@ def flag_persistence(
     return diagrams
 
 
-# -- cube-level reduction: stage-wise Betti numbers ---------------------------
+# -- cube-level reduction: values and Betti numbers ---------------------------
+
+
+def cube_value(cube: tuple[int, ...], g: WeightedGraph) -> float:
+    """Max weight over the cube's distinct-endpoint image edges; 0 if none."""
+    return max(
+        [0.0]
+        + [
+            g.weight_of(cube[x], cube[y])
+            for pairs in corner_pairs(len(cube).bit_length() - 1)
+            for x, y in pairs
+            if cube[x] != cube[y]
+        ]
+    )
+
+
+def rank_betti_numbers(g: WeightedGraph, max_dim: int) -> list[int]:
+    """beta_d = n_d - rank boundary[d] - rank boundary[d+1] over GF(2), d <= max_dim."""
+    cx = chain_complex(g, max_dim)
+    ranks = [rank(m) for m in cx.boundary]
+    return [len(cx.basis[d]) - ranks[d] - ranks[d + 1] for d in range(max_dim + 1)]
 
 
 def persistence_diagrams(
@@ -215,11 +237,11 @@ def betti_at(fc: FilteredComplex, r: float, dim: int) -> int:
     if dim > 0:
         # faces of alive cubes are themselves alive by value monotonicity
         bd = fc.complex.boundary[dim]
-        rank_d = gf2.rank(bd[i] for i in alive)
+        rank_d = rank(bd[i] for i in alive)
     rank_hi = 0
     if dim + 1 < len(fc.complex.basis):
         bd_hi = fc.complex.boundary[dim + 1]
-        rank_hi = gf2.rank(bd_hi[j] for j, v in enumerate(fc.values[dim + 1]) if v <= r)
+        rank_hi = rank(bd_hi[j] for j, v in enumerate(fc.values[dim + 1]) if v <= r)
     return len(alive) - rank_d - rank_hi
 
 
@@ -378,6 +400,15 @@ def threshold_subgraph(g: WeightedGraph, r: float) -> WeightedGraph:
 
 
 # -- GF(2) --------------------------------------------------------------------
+
+
+def rank(columns) -> int:
+    pivots: dict[int, int] = {}
+    for col in columns:
+        col = gf2.reduce(col, pivots)
+        if col:
+            pivots[col.bit_length() - 1] = col
+    return len(pivots)
 
 
 def column_from_rows(rows) -> int:

@@ -16,6 +16,7 @@ INIT = Path(graphhom.__file__)
 MOVED = [
     ("graphhom.persistence", "betti_at"),
     ("graphhom.persistence", "persistence_diagrams"),
+    ("graphhom.persistence", "cube_value"),
     ("graphhom.bottleneck", "bottleneck_bruteforce"),
     ("graphhom.bottleneck", "matching_cost"),
     ("graphhom.graphs", "GraphMap"),
@@ -28,6 +29,7 @@ MOVED = [
     ("graphhom.gf2", "in_span"),
     ("graphhom.gf2", "column_from_rows"),
     ("graphhom.gf2", "GF2Matrix"),
+    ("graphhom.gf2", "rank"),
     ("graphhom.series", "FitConfig"),
     ("graphhom.builders", "multivariate_r2_info"),
     ("graphhom.experiments.weather", "weather_step"),

