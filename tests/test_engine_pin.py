@@ -3,8 +3,8 @@
 PersistenceDiagram equality and the oracle tests compare (birth, death)
 multisets only, so a change to the sweep that alters a representative cycle
 passes them; the weather detector reads that cycle.  This test fixes the
-engine's output, both methods, on tied random graphs and on clean and noisy
-circles up to n = 240.
+engine's output, both methods, on tied random graphs, on clean and noisy
+circles up to n = 240 and on a noisy circle at n = 360.
 
 Every input is built from integers stored in tests/data/engine_pin.json
 (tied weight levels; integer points weighted by squared distance), so the
@@ -79,14 +79,17 @@ def make_cases() -> dict:
         )
         cases[f"tied-{k:02d}"] = {"n": n, "cells": cells}
     radius = 1000
-    for n in (30, 60, 120, 240):
-        for name, sigma in (("clean", 0.0), ("noisy", 100.0)):
-            coords = []
-            for k in range(n):
-                angle = 2 * math.pi * k / n
-                coords.append(round(radius * math.cos(angle) + rng.gauss(0.0, sigma)))
-                coords.append(round(radius * math.sin(angle) + rng.gauss(0.0, sigma)))
-            cases[f"circle-{name}-{n}"] = {"points": coords}
+    kinds = (("clean", 0.0), ("noisy", 100.0))
+    circles = [(n, name, sigma) for n in (30, 60, 120, 240) for name, sigma in kinds]
+    # drawn after the others, so their points and digests stay as they were
+    circles.append((360, "noisy", 100.0))
+    for n, name, sigma in circles:
+        coords = []
+        for k in range(n):
+            angle = 2 * math.pi * k / n
+            coords.append(round(radius * math.cos(angle) + rng.gauss(0.0, sigma)))
+            coords.append(round(radius * math.sin(angle) + rng.gauss(0.0, sigma)))
+        cases[f"circle-{name}-{n}"] = {"points": coords}
     return cases
 
 
