@@ -76,14 +76,15 @@ def correlation_graph(table: SeriesTable) -> WeightedGraph:
     if table.is_aligned() and table.times[0].size >= MIN_OVERLAP:
         matrix = table.value_matrix()
         centered = matrix - matrix.mean(axis=1, keepdims=True)
-        norms = np.einsum("ij,ij->i", centered, centered)
-        covs = centered @ centered.T
+        # Python floats: the per-pair loop reads them far faster than numpy scalars
+        norms = np.einsum("ij,ij->i", centered, centered).tolist()
+        covs = (centered @ centered.T).tolist()
         weights = []
         for i, j in g.edges:
             if norms[i] == 0.0 or norms[j] == 0.0:
                 r2 = 0.0
             else:
-                r2 = min(1.0, covs[i, j] ** 2 / (norms[i] * norms[j]))
+                r2 = min(1.0, covs[i][j] ** 2 / (norms[i] * norms[j]))
             weights.append(1.0 - r2)
     else:
         weights = []

@@ -18,6 +18,10 @@ only its column is built and reduced, and that class's cocycle is added to
 the other hit ones.  A 4-cycle with an already-arrived diagonal is the sum of
 two already-available triangles and is never considered.
 
+A reduced column is the tuple of its edge positions, keyed by its top edge,
+so the sweep's memory is linear in the number of killed classes; a dense
+bitset would cost (its top position)/8 bytes for its ~3 edges.
+
 A cycle-creating edge records only its birth value.  Representatives of
 finite bars are the reduced 2-cell columns; the tree-path cycles of bars that
 never die are built after the sweep, once per such bar, from the final
@@ -34,7 +38,7 @@ from dataclasses import dataclass
 
 from .diagrams import INF, PersistenceDiagram, PersistencePair
 from .errors import InternalError, ValidationError
-from .gf2 import reduce, rows_of_column
+from .gf2 import rows_of_column
 from .graphs import WeightedGraph
 
 METHOD_CUBICAL = "cubical"
@@ -93,24 +97,28 @@ def weighted_graph_persistence(
     merges: list[tuple[float, int, int]] = []
     h0_pairs: list[PersistencePair] = []
     h1_pairs: list[PersistencePair] = []
-    pivots: dict[int, int] = {}
+    pivots: dict[int, tuple[int, ...]] = {}
     ordered_edges: list[tuple[int, int]] = []
     # live H1 classes by birth edge position, oldest first, and their
     # cocycles as {vertex: mask of the neighbours w with edge (vertex, w) in it}
     births: dict[int, float] = {}
     cocycles: dict[int, dict[int, int]] = {}
 
-    def kill(col: int, hit: list[int], w: float) -> None:
-        """The 2-cell with boundary col kills the youngest of the classes it hits.
+    def kill(cells: tuple[int, ...], hit: list[int], w: float) -> None:
+        """The 2-cell on the edge positions cells kills the youngest class it hits.
 
-        hit lists those classes oldest first.  The others get the killed
-        class's cocycle added, which makes them 0 on this cell.
+        cells ends with the current edge, the cell's top.  hit lists the
+        classes oldest first.  The others get the killed class's cocycle
+        added, which makes them 0 on this cell.
         """
-        col = reduce(col, pivots)
+        col, top = cells, cells[-1]
+        while top in pivots:
+            col = set(col).symmetric_difference(pivots[top])
+            top = max(col, default=-1)
         p = hit[-1]
-        if col.bit_length() - 1 != p:
+        if top != p:
             raise InternalError("a killing 2-cell did not reduce to its class's birth edge")
-        pivots[p] = col
+        pivots[p] = tuple(col)
         z = cocycles.pop(p)
         for q in hit[:-1]:
             zq = cocycles[q]
@@ -120,13 +128,13 @@ def weighted_graph_persistence(
         if w > birth:
             # the reduced column is a birth-stage cycle (its youngest edge is
             # the birth edge) and a boundary at this death
-            rep = tuple(ordered_edges[b] for b in rows_of_column(col))
+            rep = tuple(ordered_edges[b] for b in sorted(col))
             h1_pairs.append(PersistencePair(birth, w, rep))
 
-    def scan(u: int, v: int, a: int, base: int, flip: int, cells: int, w: float) -> None:
+    def scan(u: int, v: int, a: int, base: tuple, flip: int, cells: int, w: float) -> None:
         """Kill with the 2-cells t in cells, lowest first, until none is hit.
 
-        Cell t has boundary base + at + vt, and base is uv or uv + ux with
+        Cell t has boundary at + vt + base, and base is uv or ux + uv with
         flip = {v} or {v, x}; so z sums to z(at) + z(vt) + |z[u] & flip| on it.
         """
         while cells and cocycles:
@@ -141,7 +149,7 @@ def weighted_graph_persistence(
                 return
             low = min(m & -m for m in hits.values())
             t = low.bit_length() - 1
-            kill(base | 1 << at[a][t] | 1 << at[v][t], [p for p, m in hits.items() if m & low], w)
+            kill((at[a][t], at[v][t], *base), [p for p, m in hits.items() if m & low], w)
             cells &= -(low << 1)
 
     for pos, ei in enumerate(order):
@@ -171,9 +179,9 @@ def weighted_graph_persistence(
             hit = [pos]
             if len(cocycles) > 1:
                 hit[:0] = [p for p, z in cocycles.items() if (z.get(u, 0) ^ z.get(v, 0)) & low]
-            kill(1 << pos | 1 << at[u][x] | 1 << at[v][x], hit, w)
+            kill((at[u][x], at[v][x], pos), hit, w)
             if cocycles:
-                scan(u, v, u, 1 << pos, 1 << v, common ^ low, w)
+                scan(u, v, u, (pos,), 1 << v, common ^ low, w)
         if method != METHOD_CUBICAL or not cocycles:
             continue
         # 4-cycles (u, x, y, v) with both diagonals absent.  A cocycle z with
@@ -193,7 +201,7 @@ def weighted_graph_persistence(
             for y in rows_of_column(z.get(v, 0) & cand_y):
                 xs |= adj[y]
         for x in rows_of_column(xs & cand_x):
-            scan(u, v, x, 1 << pos | 1 << at[u][x], 1 << v | 1 << x, adj[x] & cand_y, w)
+            scan(u, v, x, (at[u][x], pos), 1 << v | 1 << x, adj[x] & cand_y, w)
 
     # The forest only ever joins separate trees, so the u-v tree path now is
     # the one present when the class was born: the birth-stage cycle.

@@ -3,6 +3,9 @@
 A column is an int whose bit i corresponds to row i, and a matrix is a plain
 list of columns.  This keeps XOR, the only arithmetic we need, at C speed
 without a dense matrix dependency.
+
+Bitset columns serve persistence.reduce and the test oracles only; the
+engine keeps sparse columns and uses rows_of_column to walk vertex masks.
 """
 
 from __future__ import annotations
