@@ -112,7 +112,8 @@ def test_sweep_memory_is_linear_in_killed_classes():
     """Pivot columns are tuples of edge positions, not dense bitsets.
 
     A bitset column costs about (its top position)/8 bytes whatever it holds;
-    on this 19,900-edge circle they peaked at about 32 MB, the tuples at 6.
+    with them the sweep of this 19,900-edge circle peaked at about 32 MB, with
+    tuples at about 6 MB.
     """
     g = point_graph(circle_coords(random.Random(200), 200, 100.0))
     tracemalloc.start()
